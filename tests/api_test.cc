@@ -19,6 +19,7 @@
 #include "datasets/ldbc.h"
 #include "datasets/workloads.h"
 #include "datasets/yago.h"
+#include "util/exec_context.h"
 
 namespace gqopt {
 namespace {
@@ -290,16 +291,20 @@ TEST(ApiTest, SessionsAreScopedToTheirDatabase) {
 }
 
 TEST(ApiTest, ExecOptionsExplicitSettersBeatEnvironment) {
+  // The environment's dop must differ from the core-aware default, or a
+  // default that wrongly read GQOPT_DOP would go unseen.
+  const int env_dop = DefaultDop() == 2 ? 3 : 2;
+  const std::string env_dop_text = std::to_string(env_dop);
   ScopedEnv timeout("GQOPT_TIMEOUT_MS", "123");
   ScopedEnv reps("GQOPT_REPS", "7");
-  ScopedEnv dop("GQOPT_DOP", "4");
+  ScopedEnv dop("GQOPT_DOP", env_dop_text.c_str());
   ScopedEnv planner("GQOPT_PLANNER", "greedy");
   ScopedEnv cache("GQOPT_PLAN_CACHE", "0");
 
   // Defaults never read the environment.
   ExecOptions defaults;
   EXPECT_EQ(defaults.timeout_ms, 2000);
-  EXPECT_EQ(defaults.dop, 1);
+  EXPECT_EQ(defaults.dop, DefaultDop());
   EXPECT_EQ(defaults.planner, PlannerKind::kDp);
   EXPECT_TRUE(defaults.use_plan_cache);
 
@@ -307,7 +312,7 @@ TEST(ApiTest, ExecOptionsExplicitSettersBeatEnvironment) {
   ExecOptions from_env = ExecOptions::FromEnv();
   EXPECT_EQ(from_env.timeout_ms, 123);
   EXPECT_EQ(from_env.repetitions, 7);
-  EXPECT_EQ(from_env.dop, 4);
+  EXPECT_EQ(from_env.dop, env_dop);
   EXPECT_EQ(from_env.planner, PlannerKind::kGreedy);
   EXPECT_FALSE(from_env.use_plan_cache);
 

@@ -272,7 +272,7 @@ TEST_F(OptimizerTest, AnnotatesParallelismHint) {
       ExplainPlan(OptimizePlan(plan, big_catalog, parallel), big_catalog);
   EXPECT_NE(hinted.find("[radix-hash p=8]"), std::string::npos) << hinted;
 
-  // Serial planning (the default without GQOPT_DOP) never prints p=.
+  // Serial planning, pinned explicitly with dop = 1, never prints p=.
   OptimizerOptions serial;
   serial.dop = 1;
   std::string unhinted =

@@ -4,11 +4,13 @@
 #
 # Usage: tools/run_tier1.sh [--no-bench] [--tsan] [--asan] [--topk]
 #
-# GQOPT_DOP (degree of parallelism, default 1) passes through to every
-# test and benchmark binary: executors and closures run their partitioned
-# parallel paths at that dop. Independent of the ambient value, the
-# differential suites run once more at GQOPT_DOP=4 below, so parallel
-# execution is checked for bit-identical results on every tier-1 run.
+# GQOPT_DOP (degree of parallelism, default the hardware concurrency
+# clamped to [1, 256], serial only on a 1-core machine) passes through to
+# every test and benchmark binary: executors and closures run their
+# partitioned parallel paths at that dop. Independent of the ambient
+# value, the differential suites run once more at GQOPT_DOP=4 below, so
+# parallel execution is checked for bit-identical results on every
+# tier-1 run.
 #
 # --tsan builds the concurrency suites under ThreadSanitizer (its own
 # build-tsan/ tree, benches off) and runs them serial and at dop=4: the
