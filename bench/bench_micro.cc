@@ -1065,120 +1065,5 @@ void BM_ClosureTopKFull(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosureTopKFull)->Arg(1024)->Arg(4096);
 
-// Headline pair for the incremental-maintenance subsystem: one write
-// plus a small read mix (flat join, unseeded closure, scan of the
-// written label) per iteration, through the full facade. The delta
-// variant buffers the write, serves base + seal through the overlay and
-// keeps retained plans; the rebuild variant pays the legacy
-// invalidate-everything path — catalog, statistics and plans rebuilt on
-// every write. Compare within one BENCH_micro.json via bench_diff.py.
-void MixedReadWrite(benchmark::State& state, bool delta) {
-  api::Database db(YagoSchema(), GenerateYago({.persons = 60, .seed = 3}));
-  db.set_plan_cache_enabled(true);
-  db.set_delta_enabled(delta);
-  db.set_delta_merge_rows(512);
-  api::ExecOptions options;
-  options.timeout_ms = 0;
-  options.apply_schema_rewrite = false;  // bmLink is not in the schema
-  api::Session session(db, options);
-  const char* const queries[] = {
-      "x1, x2 <- (x1, owns/isLocatedIn, x2)",
-      "x1, x2 <- (x1, isMarriedTo+, x2)",
-      "x, y <- (x, bmLink, y)",
-  };
-  // Endpoints cycle through fresh (src, tgt) pairs so no write is a
-  // dropped duplicate: every iteration really mutates.
-  size_t nodes = db.graph().num_nodes();
-  uint64_t k = 0;
-  for (auto _ : state) {
-    NodeId src = static_cast<NodeId>(k % nodes);
-    NodeId tgt = static_cast<NodeId>((k / nodes) % nodes);
-    ++k;
-    Status added = db.AddEdge(src, "bmLink", tgt);
-    if (!added.ok()) {
-      state.SkipWithError(added.ToString().c_str());
-      return;
-    }
-    for (const char* query : queries) {
-      auto result = session.Query(query);
-      if (!result.ok()) {
-        state.SkipWithError(result.status().ToString().c_str());
-        return;
-      }
-      benchmark::DoNotOptimize(result->rows());
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["compactions"] =
-      static_cast<double>(db.delta_stats().compactions);
-}
-
-void BM_MixedReadWriteDelta(benchmark::State& state) {
-  MixedReadWrite(state, /*delta=*/true);
-}
-BENCHMARK(BM_MixedReadWriteDelta);
-
-void BM_MixedReadWriteRebuild(benchmark::State& state) {
-  MixedReadWrite(state, /*delta=*/false);
-}
-BENCHMARK(BM_MixedReadWriteRebuild);
-
-// Headline pairs for the shard layer (src/shard/): the same query
-// through the full facade against a 4-way partition (per-shard fixpoints
-// with frontier exchange for the closure, driver fan-out + union for the
-// join) and against unsharded storage — identical results by the layer's
-// invariant, so the ratio isolates pure layout/exchange cost. Compare
-// within one BENCH_micro.json via bench_diff.py.
-void ShardedFacadeQuery(benchmark::State& state, int shards,
-                        const char* query) {
-  api::Database db(YagoSchema(), GenerateYago({.persons = 300, .seed = 7}));
-  db.set_shards(shards);
-  api::ExecOptions options;
-  options.timeout_ms = 0;
-  options.apply_schema_rewrite = false;  // keep one plan shape per query
-  api::Session session(db, options);
-  // Warm outside the loop: snapshot + partition build and the plan-cache
-  // entry are one-time costs; the loop measures execution.
-  auto warm = session.Query(query);
-  if (!warm.ok()) {
-    state.SkipWithError(warm.status().ToString().c_str());
-    return;
-  }
-  for (auto _ : state) {
-    auto result = session.Query(query);
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(result->rows());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-constexpr const char* kShardClosureQuery =
-    "x1, x2 <- (x1, isMarriedTo+, x2)";
-constexpr const char* kShardJoinQuery =
-    "x1, x2 <- (x1, owns/isLocatedIn, x2)";
-
-void BM_ShardedClosure(benchmark::State& state) {
-  ShardedFacadeQuery(state, /*shards=*/4, kShardClosureQuery);
-}
-BENCHMARK(BM_ShardedClosure);
-
-void BM_UnshardedClosure(benchmark::State& state) {
-  ShardedFacadeQuery(state, /*shards=*/1, kShardClosureQuery);
-}
-BENCHMARK(BM_UnshardedClosure);
-
-void BM_ShardedJoin(benchmark::State& state) {
-  ShardedFacadeQuery(state, /*shards=*/4, kShardJoinQuery);
-}
-BENCHMARK(BM_ShardedJoin);
-
-void BM_UnshardedJoin(benchmark::State& state) {
-  ShardedFacadeQuery(state, /*shards=*/1, kShardJoinQuery);
-}
-BENCHMARK(BM_UnshardedJoin);
-
 }  // namespace
 }  // namespace gqopt

@@ -1,6 +1,5 @@
 #include "api/database.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -13,7 +12,6 @@
 #include "ra/optimizer.h"
 #include "ra/ucqt_to_ra.h"
 #include "schema/schema_parser.h"
-#include "shard/sharded_executor.h"
 #include "util/fault_injection.h"
 
 namespace gqopt {
@@ -140,15 +138,13 @@ Snapshot::Snapshot(uint64_t generation, uint64_t data_generation,
                    GraphSchema schema,
                    std::shared_ptr<const PropertyGraph> graph,
                    std::shared_ptr<const Catalog> base_catalog,
-                   inc::SealedDeltaPtr delta,
-                   shard::ShardedGraphPtr sharded)
+                   inc::SealedDeltaPtr delta)
     : generation_(generation),
       data_generation_(data_generation),
       schema_(std::move(schema)),
       graph_(std::move(graph)),
       base_catalog_(std::move(base_catalog)),
-      delta_(std::move(delta)),
-      sharded_(std::move(sharded)) {
+      delta_(std::move(delta)) {
   if (delta_ != nullptr && !delta_->empty()) {
     overlay_ = std::make_unique<const Catalog>(base_catalog_.get(), delta_);
   }
@@ -164,30 +160,8 @@ std::string PreparedQuery::Explain() const {
     return StaleMessage("stale prepared query ", now, generation_,
                         "; re-prepare\n");
   }
-  std::string out;
-  if (const shard::ShardedGraph* sg = snapshot_->sharded()) {
-    out.append("[shards=");
-    out.append(std::to_string(sg->shards()));
-    out.append(" policy=");
-    out.append(shard::ShardPolicyName(sg->policy()));
-    out.append("]\n");
-  }
-  out.append(ExplainPlan(plan_, snapshot_->catalog()));
-  return out;
+  return ExplainPlan(plan_, snapshot_->catalog());
 }
-
-namespace {
-
-/// Whether this execution should run through the sharded executor: the
-/// snapshot carries a partition and the session did not force sharding
-/// off (shards 0 or 1). A session value >= 2 does not re-partition — K
-/// is the database's; the option only gates participation.
-bool UseSharded(const Snapshot& snap, const ExecOptions& options) {
-  return snap.sharded() != nullptr && options.shards != 0 &&
-         options.shards != 1;
-}
-
-}  // namespace
 
 Result<std::string> PreparedQuery::ExplainAnalyze(
     const Session& session) const {
@@ -214,45 +188,15 @@ Result<std::string> PreparedQuery::ExplainAnalyze(
   }
   try {
     Executor executor(snap->catalog());
-    std::unique_ptr<shard::ShardedExecutor> sharded;
-    if (UseSharded(*snap, session.options())) {
-      sharded = std::make_unique<shard::ShardedExecutor>(
-          snap->catalog(), *snap->sharded(), snap->delta().get());
-    }
     MemoryTracker query_mem(session.options().mem_limit_bytes, "query",
                             &db_->mem_, /*probe_faults=*/true);
     ExecContext ctx = session.options().MakeExecContext();
     ctx.mem = &query_mem;
-    auto table = sharded != nullptr ? sharded->Run(plan_, ctx)
-                                    : executor.Run(plan_, ctx);
+    auto table = executor.Run(plan_, ctx);
     if (!table.ok()) return StageError(QueryStage::kExecute, table.status());
-    const Executor& ran = sharded != nullptr ? sharded->main() : executor;
     std::string out =
-        ExplainPlanAnalyze(plan_, snap->catalog(),
-                           ran.actual_rows(), &ran.actual_bytes());
-    if (sharded != nullptr) {
-      const shard::ShardedGraph* sg = snap->sharded();
-      out.append("[shards=");
-      out.append(std::to_string(sg->shards()));
-      out.append(" policy=");
-      out.append(shard::ShardPolicyName(sg->policy()));
-      if (!sharded->driver_label().empty()) {
-        out.append(" driver=");
-        out.append(sharded->driver_label());
-      }
-      if (sharded->exchanged_pairs() > 0) {
-        out.append(" exchanged=");
-        out.append(std::to_string(sharded->exchanged_pairs()));
-      }
-      out.append("]\n");
-      for (size_t k = 0; k < sharded->shard_core_rows().size(); ++k) {
-        out.append("  shard ");
-        out.append(std::to_string(k));
-        out.append(": rows=");
-        out.append(std::to_string(sharded->shard_core_rows()[k]));
-        out.append("\n");
-      }
-    }
+        ExplainPlanAnalyze(plan_, snap->catalog(), executor.actual_rows(),
+                           &executor.actual_bytes());
     out.append("(");
     out.append(std::to_string(table->rows()));
     out.append(" result rows, peak memory ");
@@ -287,10 +231,9 @@ Result<QueryResult> PreparedQuery::Execute(const Session& session,
         "execute: stale prepared query ", now, generation_, ""));
   }
   GQOPT_RETURN_NOT_OK(db_->StageFault(QueryStage::kExecute));
-  // Delta-mode data mutations advance the data generation without
-  // staling the handle: re-resolve the current publication so the cached
-  // plan serves the fresh rows. Legacy mode never moves the data
-  // generation, so this stays the Prepare-time snapshot.
+  // Data mutations advance the data generation without staling the
+  // handle: re-resolve the current publication so the cached plan serves
+  // the fresh rows.
   SnapshotPtr snap = snapshot_;
   if (snap->data_generation() != db_->data_generation()) {
     snap = db_->snapshot();
@@ -302,11 +245,6 @@ Result<QueryResult> PreparedQuery::Execute(const Session& session,
   }
   try {
     Executor executor(snap->catalog());
-    std::unique_ptr<shard::ShardedExecutor> sharded;
-    if (UseSharded(*snap, session.options())) {
-      sharded = std::make_unique<shard::ShardedExecutor>(
-          snap->catalog(), *snap->sharded(), snap->delta().get());
-    }
     // Per-query budget, child of the Database-wide root: the run charges
     // against both its own limit and the shared server ceiling, and the
     // reservation flows back to the root when the tracker dies.
@@ -316,16 +254,14 @@ Result<QueryResult> PreparedQuery::Execute(const Session& session,
     ctx.deadline = deadline;
     ctx.mem = &query_mem;
     double start = Now();
-    auto table = sharded != nullptr ? sharded->Run(plan_, ctx)
-                                    : executor.Run(plan_, ctx);
+    auto table = executor.Run(plan_, ctx);
     double elapsed = Now() - start;
     if (!table.ok()) return StageError(QueryStage::kExecute, table.status());
-    const Executor& ran = sharded != nullptr ? sharded->main() : executor;
     QueryResult result;
     result.table = std::move(table).value();
     result.exec_seconds = elapsed;
-    result.plan_operators = ran.actual_rows().size();
-    for (const auto& [node, rows] : ran.actual_rows()) {
+    result.plan_operators = executor.actual_rows().size();
+    for (const auto& [node, rows] : executor.actual_rows()) {
       result.rows_processed += rows;
     }
     result.mem_peak_bytes = query_mem.peak();
@@ -345,9 +281,6 @@ Database::Database(GraphSchema schema, PropertyGraph graph)
     : schema_(std::move(schema)),
       graph_(std::move(graph)),
       mem_(ParseByteSize(std::getenv("GQOPT_SERVER_MEM_LIMIT")), "server") {
-  if (const char* env = std::getenv("GQOPT_DELTA")) {
-    delta_enabled_ = std::string_view(env) != "0";
-  }
   if (const char* rows = std::getenv("GQOPT_DELTA_MERGE_ROWS")) {
     char* end = nullptr;
     unsigned long value = std::strtoul(rows, &end, 10);
@@ -364,7 +297,6 @@ Database::Database(GraphSchema schema, PropertyGraph graph)
       plan_drift_threshold_.store(value, std::memory_order_relaxed);
     }
   }
-  shard_spec_ = shard::ShardSpec::FromEnv();
 }
 
 Result<std::unique_ptr<Database>> Database::Open(
@@ -406,9 +338,12 @@ SnapshotPtr Database::StaleOkSnapshot(bool* served_stale) const {
 
 void Database::EnsureBaseLocked() const {
   if (base_graph_ == nullptr) {
-    // Freeze the master into the shared base copy — once per
-    // compaction/mutation cycle, never per query. The master stays in
-    // place so graph() references survive every snapshot swap.
+    // Freeze the master into the shared base copy — once per compaction
+    // cycle, never per query or per write. The master stays in place so
+    // graph() references survive every snapshot swap. Finalizing it
+    // first sorts the rows written since the last freeze once, for the
+    // master and the copy, before any reader or delta append sees them.
+    graph_.Finalize();
     base_graph_ = std::make_shared<const PropertyGraph>(graph_);
     base_catalog_.reset();
   }
@@ -435,39 +370,13 @@ SnapshotPtr Database::BuildSnapshotLocked() const {
   // it) and the result is published with two pointer stores.
   inc::SealedDeltaPtr seal;
   if (!delta_.empty()) seal = delta_.Seal();
-  // Partition the frozen base when sharding is on. Cached across
-  // publications (delta appends and statistics refreshes leave the base
-  // bytes untouched); a budget breach leaves the slot null and the
-  // snapshot serves unsharded — bit-identical, just unsplit.
-  if (shard_spec_.active() && base_sharded_ == nullptr) {
-    base_sharded_ = shard::ShardedGraph::Build(*base_graph_, shard_spec_,
-                                               &mem_);
-  }
   auto built = std::make_shared<const Snapshot>(
       generation(), data_generation(), schema_, base_graph_, base_catalog_,
-      std::move(seal), base_sharded_);
+      std::move(seal));
   std::lock_guard<std::mutex> lock(publish_mu_);
   last_snapshot_ = built;
   snapshot_ = built;
   return built;
-}
-
-void Database::MutatedLocked() {
-  // The catalog/statistics rebuild is deferred to the next snapshot()
-  // access, so a bulk load pays one rebuild at its first query instead
-  // of one per AddNode/AddEdge.
-  generation_.fetch_add(1, std::memory_order_acq_rel);
-  base_graph_.reset();
-  base_catalog_.reset();
-  base_sharded_.reset();
-  // Whatever was pending described the state being replaced.
-  delta_.DiscardPending();
-  {
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    snapshot_.reset();
-    last_snapshot_.reset();  // dead generation; free it eagerly
-  }
-  cache_.Invalidate();
 }
 
 void Database::DataMutatedLocked() {
@@ -480,49 +389,58 @@ void Database::DataMutatedLocked() {
   last_snapshot_.reset();  // older data; never a stale-serving source
 }
 
+void Database::WroteLocked() {
+  DataMutatedLocked();
+  if (delta_.pending_rows() >= delta_merge_rows_) {
+    // Auto-compaction failure is counted and retried at the next
+    // threshold crossing; the write itself already succeeded.
+    (void)CompactLocked();
+  }
+}
+
 void Database::Use(GraphSchema schema, PropertyGraph graph) {
   std::lock_guard<std::mutex> lock(state_mu_);
   schema_ = std::move(schema);
   graph_ = std::move(graph);
-  MutatedLocked();
+  // The only schema-generation bump. The catalog/statistics rebuild is
+  // deferred to the next snapshot() access.
+  generation_.fetch_add(1, std::memory_order_acq_rel);
+  base_graph_.reset();
+  base_catalog_.reset();
+  // Whatever was pending described the dataset being replaced.
+  delta_.DiscardPending();
+  {
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    snapshot_.reset();
+    last_snapshot_.reset();  // dead generation; free it eagerly
+  }
+  cache_.Invalidate();
 }
 
+// Each accepted row lands twice: in the delta, which readers overlay on
+// the frozen base, and in the master, so graph() shows it at once. The
+// base is frozen before the first pending row, so it never holds one.
 NodeId Database::AddNode(std::string_view label,
                          std::vector<Property> properties) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (!delta_enabled_) {
-    NodeId id = graph_.AddNode(label, std::move(properties));
-    MutatedLocked();
-    return id;
-  }
   EnsureBaseLocked();
-  NodeId id = delta_.AddNode(*base_graph_, label, std::move(properties));
-  DataMutatedLocked();
-  if (delta_.pending_rows() >= delta_merge_rows_) {
-    // Auto-compaction failure is counted and retried at the next
-    // threshold crossing; the mutation itself already succeeded.
-    (void)CompactLocked();
-  }
+  NodeId id = delta_.AddNode(*base_graph_, label, properties);
+  graph_.AddNode(label, std::move(properties));
+  WroteLocked();
   return id;
 }
 
 Status Database::AddEdge(NodeId source, std::string_view label,
                          NodeId target) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (!delta_enabled_) {
-    GQOPT_RETURN_NOT_OK(graph_.AddEdge(source, label, target));
-    MutatedLocked();
-    return Status::OK();
-  }
   EnsureBaseLocked();
   size_t before = delta_.pending_rows();
   GQOPT_RETURN_NOT_OK(delta_.AddEdge(*base_graph_, source, label, target));
   // A duplicate append changes nothing — keep the publication.
   if (delta_.pending_rows() == before) return Status::OK();
-  DataMutatedLocked();
-  if (delta_.pending_rows() >= delta_merge_rows_) {
-    (void)CompactLocked();
-  }
+  // The delta just checked the endpoints against the same node count.
+  (void)graph_.AddEdge(source, label, target);
+  WroteLocked();
   return Status::OK();
 }
 
@@ -533,9 +451,8 @@ Status Database::Compact() {
 
 Status Database::CompactLocked() {
   if (delta_.empty()) return Status::OK();
-  // The injected fault fires BEFORE the base graph is touched: the
-  // pending rows stay buffered, published snapshots keep serving, and
-  // the next compaction retries.
+  // An injected fault leaves the pending rows buffered: published
+  // snapshots keep serving and the next compaction retries.
   switch (FaultHit(FaultPoint::kDeltaMerge)) {
     case FaultKind::kDeadline:
       delta_.CountFailedCompaction();
@@ -546,74 +463,19 @@ Status Database::CompactLocked() {
     default:
       break;
   }
-  try {
-    ReplayDeltaInto(&graph_);
-  } catch (const std::bad_alloc&) {
-    // Published snapshots read the frozen base copy, never the master,
-    // so a half-merged master is invisible; the resumable replay above
-    // picks up where this attempt stopped.
-    delta_.CountFailedCompaction();
-    return Status::ResourceExhausted(
-        "compact: allocation failed (out of memory or injected)");
-  }
+  // The master already holds every pending row: drop the buffer and the
+  // frozen base (the next snapshot re-freezes the master) and retire the
+  // publication.
   delta_.ClearAfterCompaction();
-  // The master changed: drop the frozen base (the next snapshot
-  // re-freezes the compacted graph) and retire the publication. The
-  // shard partition covered the pre-compaction base, so it goes too.
   base_graph_.reset();
   base_catalog_.reset();
-  base_sharded_.reset();
   DataMutatedLocked();
   return Status::OK();
 }
 
-void Database::ReplayDeltaInto(PropertyGraph* graph) const {
-  // Replay pending nodes. Resumable onto a partially merged target
-  // (the master after a failed compaction): ids are assigned
-  // monotonically, so the already-appended prefix is exactly the first
-  // (num_nodes - base_nodes) entries.
-  const std::vector<inc::PendingNode>& nodes = delta_.nodes();
-  size_t already = graph->num_nodes() - delta_.base_nodes();
-  for (size_t i = already; i < nodes.size(); ++i) {
-    graph->AppendNodeFinalized(nodes[i].label, nodes[i].properties);
-  }
-  for (const auto& [label, run] : delta_.edges()) {
-    if (run.forward.empty()) continue;
-    // Skip labels a failed earlier attempt already merged: base and
-    // run were disjoint, so membership of the run's first edge means
-    // the whole run landed.
-    const std::vector<Edge>& existing = graph->EdgesByLabel(label);
-    if (std::binary_search(existing.begin(), existing.end(),
-                           run.forward.front())) {
-      continue;
-    }
-    graph->MergeSortedEdges(label, run.forward, run.reverse);
-  }
-}
-
-std::shared_ptr<const PropertyGraph> Database::MaterializedGraph() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  if (delta_.empty()) {
-    // Borrow the master (aliasing pointer, no ownership): same lifetime
-    // contract as graph(), no copy on the common read-only path.
-    return std::shared_ptr<const PropertyGraph>(std::shared_ptr<void>(),
-                                                &graph_);
-  }
-  auto merged = std::make_shared<PropertyGraph>(graph_);
-  ReplayDeltaInto(merged.get());
-  return merged;
-}
-
 inc::DeltaStats Database::delta_stats() const {
   std::lock_guard<std::mutex> lock(state_mu_);
-  inc::DeltaStats stats = delta_.stats();
-  stats.enabled = delta_enabled_;
-  return stats;
-}
-
-void Database::set_delta_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  delta_enabled_ = enabled;
+  return delta_.stats();
 }
 
 void Database::set_delta_merge_rows(size_t rows) {
@@ -624,29 +486,6 @@ void Database::set_delta_merge_rows(size_t rows) {
 void Database::set_plan_drift_threshold(double threshold) {
   plan_drift_threshold_.store(threshold < 1.0 ? 1.0 : threshold,
                               std::memory_order_relaxed);
-}
-
-void Database::set_shards(int shards, shard::ShardPolicy policy) {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  shard::ShardSpec spec;
-  spec.shards = std::clamp(shards, 1, shard::kMaxShards);
-  spec.policy = policy;
-  if (spec.shards == shard_spec_.shards && spec.policy == shard_spec_.policy) {
-    return;
-  }
-  shard_spec_ = spec;
-  base_sharded_.reset();
-  // Retire the publication like RefreshStatistics: same data, same
-  // generations — handles and cached plans keep serving, only the next
-  // snapshot carries the new partition.
-  std::lock_guard<std::mutex> publish_lock(publish_mu_);
-  snapshot_.reset();
-  last_snapshot_.reset();
-}
-
-shard::ShardSpec Database::shard_spec() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return shard_spec_;
 }
 
 void Database::RefreshStatistics() {
@@ -765,8 +604,8 @@ Result<PreparedQueryPtr> Database::PrepareImpl(const std::string& key,
       // An Insert can race a concurrent mutation's Invalidate and land a
       // dead-generation plan after the clear; validating here turns that
       // window into a plain miss instead of serving a stale plan. Plans
-      // survive delta-mode data mutations as long as their estimated
-      // cardinalities have not drifted past the threshold.
+      // survive data mutations as long as their estimated cardinalities
+      // have not drifted past the threshold.
       if (cached->generation_ == generation() &&
           (cached->data_generation_ == data_generation() ||
            PlanStillFits(*cached))) {
@@ -821,14 +660,6 @@ Result<PreparedQueryPtr> Database::PrepareImpl(const std::string& key,
       OptimizePlan(plan.value(), snap->catalog(), options.ToOptimizerOptions());
   prepared->estimated_memory_bytes_ =
       EstimatePlanMemory(prepared->plan_, snap->catalog());
-  // Shard-parallel execution holds per-shard partial results alive at once
-  // before the union; pad the admission estimate so the server's ceiling
-  // reflects the fan-out (K shards ≈ one extra copy of the working set,
-  // amortized across shards).
-  if (const shard::ShardedGraph* sg = snap->sharded()) {
-    prepared->estimated_memory_bytes_ +=
-        prepared->estimated_memory_bytes_ / sg->shards();
-  }
   CollectEdgeScanLabels(prepared->plan_.get(), snap->catalog().stats(),
                         &prepared->planned_label_rows_);
 
@@ -853,9 +684,9 @@ Result<PreparedQueryPtr> Session::Prepare(std::string_view text,
 }
 
 Result<QueryResult> Session::Query(std::string_view text) const {
-  // A mutation can land between Prepare and Execute; that transient
+  // A Use() can land between Prepare and Execute; that transient
   // staleness is resolved by re-preparing against the new generation.
-  // Bounded retries: under a continuous mutation storm the final stale
+  // Bounded retries: under a continuous stream of swaps the final stale
   // error surfaces (typed, in the execute stage) rather than looping.
   for (int attempt = 0;; ++attempt) {
     bool cache_hit = false;

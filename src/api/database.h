@@ -18,14 +18,13 @@
 // through this facade (or api/stages.h for white-box tests and benches).
 //
 // Two generations stamp every publication (docs/ARCHITECTURE.md):
-//   generation       (schema) — bumped by Use() and by the legacy
-//                    whole-invalidate mutation path; outstanding handles
+//   generation       (schema) — bumped by Use() only; outstanding handles
 //                    and cached plans from older schema generations are
 //                    dead.
-//   data_generation  — bumped by delta-mode AddNode/AddEdge and by
-//                    compaction; cached plans and handles stay VALID
-//                    across it (Execute re-resolves the snapshot, the
-//                    plan-cache lookup re-plans only when the estimated
+//   data_generation  — bumped by AddNode/AddEdge and by compaction;
+//                    cached plans and handles stay VALID across it
+//                    (Execute re-resolves the snapshot, the plan-cache
+//                    lookup re-plans only when the estimated
 //                    cardinalities drifted past GQOPT_PLAN_DRIFT).
 
 #ifndef GQOPT_API_DATABASE_H_
@@ -49,7 +48,6 @@
 #include "ra/ra_expr.h"
 #include "ra/table.h"
 #include "schema/graph_schema.h"
-#include "shard/sharded_graph.h"
 #include "util/deadline.h"
 #include "util/mem_tracker.h"
 #include "util/status.h"
@@ -105,8 +103,7 @@ class Snapshot {
   Snapshot(uint64_t generation, uint64_t data_generation, GraphSchema schema,
            std::shared_ptr<const PropertyGraph> graph,
            std::shared_ptr<const Catalog> base_catalog,
-           inc::SealedDeltaPtr delta,
-           shard::ShardedGraphPtr sharded = nullptr);
+           inc::SealedDeltaPtr delta);
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 
@@ -125,11 +122,6 @@ class Snapshot {
   }
   /// The sealed pending delta, or null when none existed at build time.
   const inc::SealedDeltaPtr& delta() const { return delta_; }
-  /// The K-way sharded storage over the base graph (src/shard/), or null
-  /// when sharding is off (or its build degraded on a budget breach).
-  /// Pending delta rows are NOT partitioned here — the sharded executor
-  /// routes them per query through the partitioner.
-  const shard::ShardedGraph* sharded() const { return sharded_.get(); }
 
  private:
   uint64_t generation_;
@@ -138,7 +130,6 @@ class Snapshot {
   std::shared_ptr<const PropertyGraph> graph_;
   std::shared_ptr<const Catalog> base_catalog_;
   inc::SealedDeltaPtr delta_;
-  shard::ShardedGraphPtr sharded_;
   std::unique_ptr<const Catalog> overlay_;  // built iff delta non-empty
 };
 
@@ -176,12 +167,13 @@ struct QueryResult {
 /// ran exactly once; the handle can be executed any number of times and
 /// from any number of threads (Execute creates per-call executor state
 /// over the captured Snapshot). Handles pin the SCHEMA generation they
-/// were prepared against: after Use() (or a legacy-mode mutation) Execute
-/// refuses with an "execute: stale" status and the caller re-prepares.
-/// Delta-mode data mutations do NOT stale a handle — Execute notices the
-/// advanced data generation and re-resolves the current snapshot, so the
-/// same plan serves the fresh data. An execution already in flight when
-/// any mutation lands finishes correctly on the snapshot it captured.
+/// were prepared against: after Use() Execute refuses with an
+/// "execute: stale" status and the caller re-prepares. Data mutations
+/// (AddNode/AddEdge, compaction) do NOT stale a handle — Execute notices
+/// the advanced data generation and re-resolves the current snapshot, so
+/// the same plan serves the fresh data. An execution already in flight
+/// when any mutation lands finishes correctly on the snapshot it
+/// captured.
 class PreparedQuery {
  public:
   /// The cache-key text this query was prepared from (normalized input
@@ -235,9 +227,9 @@ class PreparedQuery {
   /// Same, under an externally supplied deadline (the serving layer's
   /// admission-time deadline, which keeps counting across queueing and
   /// planning). The generation check and the execution both observe one
-  /// Snapshot: the one captured at Prepare, or — when delta-mode data
-  /// mutations advanced the data generation since — the current
-  /// publication, fetched once. A concurrent schema mutation can make
+  /// Snapshot: the one captured at Prepare, or — when data mutations
+  /// advanced the data generation since — the current publication,
+  /// fetched once. A concurrent schema mutation can make
   /// this call refuse as stale, but never corrupt a run in flight.
   Result<QueryResult> Execute(const Session& session,
                               const Deadline& deadline) const;
@@ -284,13 +276,12 @@ using PreparedQueryPtr = std::shared_ptr<const PreparedQuery>;
 /// concurrent pipelines should hold a snapshot() or a PreparedQuery
 /// instead.
 ///
-/// Write modes: with the delta DISABLED (default; GQOPT_DELTA=1 or
-/// set_delta_enabled(true) to opt in) AddNode/AddEdge mutate the master
-/// graph in place and invalidate everything — the legacy semantics.
-/// With the delta ENABLED they append to a side buffer (src/inc): the
-/// base stays frozen, readers overlay the sealed pending rows, cached
-/// plans keep serving (drift-checked), and the buffer merges into the
-/// base when it exceeds GQOPT_DELTA_MERGE_ROWS rows or on Compact().
+/// Writes: AddNode/AddEdge append to a side buffer (src/inc) and go
+/// through to the master graph. Published snapshots read a frozen copy
+/// of the master taken before the first pending row, with the sealed
+/// pending rows overlaid; cached plans keep serving (drift-checked). Once
+/// the buffer exceeds GQOPT_DELTA_MERGE_ROWS rows, or on Compact(), it
+/// clears and the next snapshot re-freezes the master.
 class Database {
  public:
   /// An empty database (no schema, no nodes) — populate with Use() or the
@@ -307,32 +298,29 @@ class Database {
   Database& operator=(const Database&) = delete;
 
   const GraphSchema& schema() const { return schema_; }
-  /// The master graph. The reference is stable for the lifetime of the
-  /// Database (snapshots copy it; mutations change it in place), but
-  /// reading it concurrently with the mutators is the caller's problem —
-  /// concurrent pipelines should hold a snapshot() instead. In delta
-  /// mode, pending (uncompacted) rows are NOT visible here; Compact()
-  /// folds them in.
+  /// The master graph, every accepted write included (pending delta rows
+  /// too): flat-graph consumers like the graph engine and the
+  /// consistency checker read it directly. The reference is stable for
+  /// the lifetime of the Database (snapshots copy it; writes append to
+  /// it), but reading it concurrently with the mutators is the caller's
+  /// problem — concurrent pipelines should hold a snapshot() instead.
   const PropertyGraph& graph() const { return graph_; }
-  /// The effective graph, pending delta rows included: with no rows
-  /// pending this borrows the master (same lifetime contract as
-  /// graph()); otherwise it materializes a merged copy by replaying the
-  /// delta — for flat-graph consumers like the graph engine and the
-  /// consistency checker that cannot read the overlay. Never mutates
-  /// the master or the delta store.
-  std::shared_ptr<const PropertyGraph> MaterializedGraph() const;
+  /// graph() as a non-owning shared pointer (same lifetime contract).
+  std::shared_ptr<const PropertyGraph> MaterializedGraph() const {
+    return std::shared_ptr<const PropertyGraph>(std::shared_ptr<void>(),
+                                                &graph_);
+  }
   /// The relational catalog of the current snapshot (built on first use
-  /// after a mutation, so bulk loading through AddNode/AddEdge costs one
-  /// rebuild at the next query, not one per call). The reference is
+  /// after a mutation: writes since the last one cost one seal and
+  /// overlay at the next query, not one per call). The reference is
   /// stable until the next mutation/Use/RefreshStatistics.
   const Catalog& catalog() const;
-  /// Schema generation: bumped by Use() and by legacy-mode mutations;
-  /// PreparedQuery handles from older schema generations refuse to
-  /// execute.
+  /// Schema generation: bumped by Use() only; PreparedQuery handles from
+  /// older schema generations refuse to execute.
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
-  /// Data generation: bumped by every delta-mode mutation and by each
+  /// Data generation: bumped by every accepted write and by each
   /// compaction. Handles and cached plans survive it.
   uint64_t data_generation() const {
     return data_generation_.load(std::memory_order_acquire);
@@ -356,22 +344,21 @@ class Database {
   /// delta rows (they described the dataset being replaced).
   void Use(GraphSchema schema, PropertyGraph graph);
 
-  /// Graph mutations. Delta disabled (default): mutate the master in
-  /// place, retire the publication, invalidate the plan cache, bump the
-  /// schema generation. Delta enabled: append to the pending buffer and
-  /// bump only the data generation — handles and cached plans keep
-  /// serving — then auto-compact once the buffer exceeds the merge
-  /// threshold (a failed auto-compaction is counted and retried later;
-  /// the mutation itself still succeeds).
+  /// Graph writes: append to the pending buffer and the master graph,
+  /// retire the publication and bump only the data generation — handles
+  /// and cached plans keep serving — then auto-compact once the buffer
+  /// exceeds the merge threshold (a failed auto-compaction is counted and
+  /// retried later; the write itself still succeeds). A duplicate edge is
+  /// a no-op that returns OK.
   NodeId AddNode(std::string_view label, std::vector<Property> properties = {});
   Status AddEdge(NodeId source, std::string_view label, NodeId target);
 
-  /// Merges all pending delta rows into the base graph (no-op when none
-  /// are pending). On success the master graph contains every row,
-  /// the publication is retired (the next reader builds a delta-free
-  /// snapshot) and the data generation is bumped. On failure — injected
-  /// kDeltaMerge fault or a real allocation failure — the pending rows
-  /// stay buffered, published snapshots keep serving, and the typed
+  /// Folds all pending delta rows into the base (no-op when none are
+  /// pending). The master already holds them, so on success the buffer
+  /// clears, the publication is retired (the next reader re-freezes the
+  /// master into a delta-free snapshot) and the data generation is
+  /// bumped. On an injected kDeltaMerge fault the pending rows stay
+  /// buffered, published snapshots keep serving, and the typed
   /// "compact: " status reports the cause; a later Compact() retries.
   Status Compact();
 
@@ -379,11 +366,6 @@ class Database {
   /// seals, compactions). Consistent snapshot under the state mutex.
   inc::DeltaStats delta_stats() const;
 
-  /// Switches the write path between legacy whole-invalidation and
-  /// delta-buffered incremental maintenance. Overrides GQOPT_DELTA.
-  /// Disabling does not discard already-pending rows — Compact() first
-  /// if exact master-graph state matters.
-  void set_delta_enabled(bool enabled);
   /// Pending-row threshold that triggers auto-compaction (default 4096).
   /// Overrides GQOPT_DELTA_MERGE_ROWS.
   void set_delta_merge_rows(size_t rows);
@@ -391,20 +373,9 @@ class Database {
   /// of serving (default 2.0; must be >= 1). Overrides GQOPT_PLAN_DRIFT.
   void set_plan_drift_threshold(double threshold);
 
-  /// Switches the database to K-way sharded storage (src/shard/) under
-  /// `policy`; K <= 1 turns sharding off. Overrides GQOPT_SHARDS /
-  /// GQOPT_SHARD_POLICY. Retires the publication (the next snapshot
-  /// partitions the base graph); generations, cached plans, and
-  /// outstanding handles are untouched — sharding is an execution layout
-  /// only and never changes a result.
-  void set_shards(int shards,
-                  shard::ShardPolicy policy = shard::ShardPolicy::kHash);
-  /// The current sharding configuration.
-  shard::ShardSpec shard_spec() const;
-
   /// Retires the published snapshot so statistics re-collect from the
-  /// current graph. The generation is unchanged and — unlike a mutation
-  /// — BOTH outstanding handles and cached plan entries stay valid: only
+  /// current graph. Neither generation moves and — unlike Use() — BOTH
+  /// outstanding handles and cached plan entries stay valid: only
   /// the estimates refresh (re-prepares after the refresh cost plans
   /// under the new numbers). StaleOkSnapshot may keep serving the
   /// previous publication until the rebuild lands.
@@ -467,21 +438,17 @@ class Database {
                                        bool* cache_hit) const;
   /// Double-checked snapshot build; caller holds state_mu_.
   SnapshotPtr BuildSnapshotLocked() const;
-  /// Schema-generation bump + publication retire + plan-cache
-  /// invalidation + pending-delta discard; caller holds state_mu_.
-  void MutatedLocked();
   /// Data-generation bump + publication retire, plan cache KEPT; caller
   /// holds state_mu_.
   void DataMutatedLocked();
+  /// The tail of an accepted write: DataMutatedLocked, then the
+  /// auto-compaction past the merge threshold; caller holds state_mu_.
+  void WroteLocked();
   /// Freezes the master into base_graph_ if not frozen yet; caller holds
   /// state_mu_.
   void EnsureBaseLocked() const;
   /// The compaction body (see Compact()); caller holds state_mu_.
   Status CompactLocked();
-  /// Replays pending delta rows into `graph` (node prefix + per-label
-  /// skip makes it resumable onto a partially merged target); caller
-  /// holds state_mu_. May throw std::bad_alloc.
-  void ReplayDeltaInto(PropertyGraph* graph) const;
   /// True when the cached plan's estimated cardinalities still hold
   /// within the drift threshold against the current statistics.
   bool PlanStillFits(const PreparedQuery& cached) const;
@@ -496,29 +463,21 @@ class Database {
   // they load the atomic publication.
   mutable std::mutex state_mu_;
   GraphSchema schema_;
-  // The master graph: mutated in place under state_mu_ (legacy mutations
-  // and compactions), frozen while delta rows are pending. It never
-  // moves, so the graph() reference is stable for the Database lifetime.
+  // The master graph: every accepted write appends to it under state_mu_.
+  // It never moves, so the graph() reference is stable for the Database
+  // lifetime.
   PropertyGraph graph_;
   std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t> data_generation_{0};
-  // Incremental write path (guarded by state_mu_): the pending buffer,
-  // the frozen copy of the master that published snapshots share, and
-  // the base catalog built over that copy. The base slots reset on
-  // compaction / legacy mutation (content changed) and base_catalog_
-  // alone on RefreshStatistics (same data, fresh statistics).
-  bool delta_enabled_ = false;
+  // Write path (guarded by state_mu_): the pending buffer, the frozen
+  // copy of the master that published snapshots share, and the base
+  // catalog built over that copy. The base slots reset on compaction and
+  // Use() (content changed) and base_catalog_ alone on RefreshStatistics
+  // (same data, fresh statistics).
   size_t delta_merge_rows_ = 4096;
   inc::DeltaStore delta_;
   mutable std::shared_ptr<const PropertyGraph> base_graph_;
   mutable std::shared_ptr<const Catalog> base_catalog_;
-  // Sharded storage over the frozen base (guarded by state_mu_ like the
-  // base slots): built lazily at snapshot build when the spec is active,
-  // reset whenever the base content changes (compaction, legacy
-  // mutation, Use) or the spec does — kept across delta appends and
-  // statistics refreshes, which leave the base bytes untouched.
-  shard::ShardSpec shard_spec_;
-  mutable shard::ShardedGraphPtr base_sharded_;
   // Read on the lock-free Prepare path; relaxed ordering is fine (any
   // recent value yields a correct plan).
   std::atomic<double> plan_drift_threshold_{2.0};
@@ -564,7 +523,7 @@ class Session {
                                    bool* cache_hit = nullptr) const;
 
   /// Prepare (cached) + Execute in one call; the serving fast path. When
-  /// a concurrent mutation invalidates the handle between the two steps,
+  /// a concurrent Use() invalidates the handle between the two steps,
   /// re-prepares against the new generation (bounded retries) instead of
   /// surfacing the transient staleness to the caller.
   Result<QueryResult> Query(std::string_view text) const;

@@ -31,9 +31,6 @@ ExecOptions ExecOptions::FromEnv() {
   if (const char* prune = std::getenv("GQOPT_TOPK_PRUNING")) {
     options.topk_closure_pruning = std::string(prune) != "0";
   }
-  if (const char* shards = std::getenv("GQOPT_SHARDS")) {
-    options.shards = static_cast<int>(std::strtol(shards, nullptr, 10));
-  }
   options.mem_limit_bytes = ParseByteSize(std::getenv("GQOPT_MEM_LIMIT"));
   return options;
 }

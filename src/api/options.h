@@ -33,7 +33,6 @@ namespace api {
 ///   GQOPT_MEM_LIMIT    per-query memory budget        (field mem_limit_bytes)
 ///   GQOPT_TOPK_PRUNING "0" disables closure top-k pruning
 ///                                             (field topk_closure_pruning)
-///   GQOPT_SHARDS       shard participation            (field shards)
 struct ExecOptions {
   // ---- execution-time knobs ------------------------------------------
   /// Per-execution deadline in milliseconds; <= 0 means no deadline.
@@ -63,14 +62,6 @@ struct ExecOptions {
   /// of the plan-cache fingerprint. FromEnv() reads GQOPT_TOPK_PRUNING
   /// ("0" disables).
   bool topk_closure_pruning = true;
-  /// Shard-parallel execution participation. -1 inherits the Database's
-  /// partition (GQOPT_SHARDS at Database construction / set_shards()); 0
-  /// or 1 forces unsharded execution for this session even when the
-  /// Database is partitioned; >= 2 opts in (the shard count stays the
-  /// Database's — a session cannot re-partition). Execution-time only:
-  /// sharded and unsharded runs are bit-identical, so this is NOT part of
-  /// the plan-cache fingerprint. FromEnv() reads GQOPT_SHARDS.
-  int shards = -1;
 
   // ---- planning-time knobs (part of the plan-cache key) --------------
   /// Join-order planner for join clusters.

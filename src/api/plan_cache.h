@@ -34,7 +34,7 @@ inline constexpr size_t kDefaultPlanCacheMemCapacity = size_t{64} << 20;
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;          // counted even while disabled
-  uint64_t invalidations = 0;   // full clears (mutation, swap, refresh)
+  uint64_t invalidations = 0;   // full clears (dataset swap, explicit)
   uint64_t evictions = 0;       // LRU capacity evictions (count or bytes)
   size_t entries = 0;
   size_t capacity = kDefaultPlanCacheCapacity;  // 0 = unbounded

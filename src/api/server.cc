@@ -113,7 +113,7 @@ Server::Response Server::Process(const std::string& text,
   response.degradation = ApplyDegradation(level, memory_level, &options);
 
   Session session(*db_, options);
-  // A concurrent mutation between Prepare and Execute surfaces as a
+  // A concurrent Use() between Prepare and Execute surfaces as a
   // transient stale handle; bounded re-prepares resolve it against the
   // new generation (mirrors Session::Query).
   for (int attempt = 0;; ++attempt) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 
 #include "eval/graph_engine.h"
 #include "util/deadline.h"
@@ -52,10 +51,7 @@ RunMeasurement MeasureRelational(const api::Database& db, const Ucqt& query,
 RunMeasurement MeasureGraph(const api::Database& db, const Ucqt& query,
                             const api::ExecOptions& options) {
   RunMeasurement out;
-  // Pending delta rows are invisible on the master graph; materialize
-  // the effective graph so this leg agrees with the relational overlay.
-  std::shared_ptr<const PropertyGraph> graph = db.MaterializedGraph();
-  GraphEngine engine(*graph);
+  GraphEngine engine(db.graph());
   int repetitions = std::max(1, options.repetitions);
   double total = 0;
   for (int rep = 0; rep < repetitions; ++rep) {

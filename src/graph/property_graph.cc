@@ -19,6 +19,17 @@ std::mutex& CsrCacheMutex() {
   return mu;
 }
 
+// Sorts and dedups one adjacency vector. Edges added since the last
+// Finalize() follow a sorted prefix, so only that tail is sorted and then
+// merged in: re-finalizing after a few writes costs linear time, not a
+// full re-sort.
+void SortUnique(std::vector<Edge>* edges) {
+  auto tail = std::is_sorted_until(edges->begin(), edges->end());
+  std::sort(tail, edges->end());
+  std::inplace_merge(edges->begin(), tail, edges->end());
+  edges->erase(std::unique(edges->begin(), edges->end()), edges->end());
+}
+
 }  // namespace
 
 const std::vector<Edge> PropertyGraph::kNoEdges;
@@ -91,52 +102,8 @@ Status PropertyGraph::AddEdge(NodeId source, std::string_view label,
   }
   forward_[label_id].emplace_back(source, target);
   reverse_[label_id].emplace_back(target, source);
-  ++num_edges_;
   finalized_ = false;
   return Status::OK();
-}
-
-NodeId PropertyGraph::AppendNodeFinalized(std::string_view label,
-                                          std::vector<Property> properties) {
-  if (!finalized_) return AddNode(label, std::move(properties));
-  SymbolId label_id = node_label_names_.Intern(label);
-  NodeId id = static_cast<NodeId>(node_labels_.size());
-  node_labels_.push_back(label_id);
-  if (!properties.empty()) {
-    node_properties_.resize(node_labels_.size());
-    node_properties_[id] = std::move(properties);
-  }
-  if (label_id >= label_index_.size()) label_index_.resize(label_id + 1);
-  // The new id is greater than every existing one, so appending keeps
-  // the extent sorted and the graph finalized.
-  label_index_[label_id].push_back(id);
-  return id;
-}
-
-void PropertyGraph::MergeSortedEdges(std::string_view label,
-                                     const std::vector<Edge>& forward_run,
-                                     const std::vector<Edge>& reverse_run) {
-  if (forward_run.empty()) return;
-  Finalize();  // merge against the sorted-unique form
-  SymbolId label_id = edge_label_names_.Intern(label);
-  if (label_id >= forward_.size()) {
-    forward_.resize(label_id + 1);
-    reverse_.resize(label_id + 1);
-  }
-  std::vector<Edge>& fwd = forward_[label_id];
-  size_t fwd_mid = fwd.size();
-  fwd.insert(fwd.end(), forward_run.begin(), forward_run.end());
-  std::inplace_merge(fwd.begin(), fwd.begin() + fwd_mid, fwd.end());
-  std::vector<Edge>& rev = reverse_[label_id];
-  size_t rev_mid = rev.size();
-  rev.insert(rev.end(), reverse_run.begin(), reverse_run.end());
-  std::inplace_merge(rev.begin(), rev.begin() + rev_mid, rev.end());
-  num_edges_ += forward_run.size();
-  // Only this label's CSR indexes went stale; every other cached view
-  // (and the finalized state itself) survives the merge.
-  std::lock_guard<std::mutex> lock(CsrCacheMutex());
-  if (label_id < forward_csr_.size()) forward_csr_[label_id].reset();
-  if (label_id < reverse_csr_.size()) reverse_csr_[label_id].reset();
 }
 
 const std::vector<Property>& PropertyGraph::NodeProperties(
@@ -225,14 +192,12 @@ void PropertyGraph::Finalize() const {
   if (finalized_) return;
   forward_csr_.clear();  // stale once the vectors re-sort
   reverse_csr_.clear();
+  num_edges_ = 0;
   for (auto& edges : forward_) {
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    SortUnique(&edges);
+    num_edges_ += edges.size();
   }
-  for (auto& edges : reverse_) {
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  }
+  for (auto& edges : reverse_) SortUnique(&edges);
   label_index_.assign(node_label_names_.size(), {});
   for (NodeId n = 0; n < node_labels_.size(); ++n) {
     label_index_[node_labels_[n]].push_back(n);

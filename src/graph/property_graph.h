@@ -56,26 +56,13 @@ class PropertyGraph {
   /// Adds edge `source -[label]-> target`. Ids must refer to existing nodes.
   Status AddEdge(NodeId source, std::string_view label, NodeId target);
 
-  /// AddNode without losing the finalized state: ids grow monotonically,
-  /// so appending the new id to its label's extent keeps every extent
-  /// sorted — no re-sort, no CSR cache loss. Equivalent to
-  /// AddNode + Finalize; used by delta compaction (src/inc).
-  NodeId AppendNodeFinalized(std::string_view label,
-                             std::vector<Property> properties = {});
-
-  /// Merges a sorted-unique edge run disjoint from `label`'s existing
-  /// edges into the adjacency in place (std::inplace_merge — linear, no
-  /// re-sort), keeping the graph finalized; only the touched label's CSR
-  /// caches are dropped. `forward_run` is (source, target) pairs sorted
-  /// by (source, target); `reverse_run` the same edges as
-  /// (target, source) pairs sorted by (target, source). Endpoints must
-  /// refer to existing nodes. Used by delta compaction (src/inc).
-  void MergeSortedEdges(std::string_view label,
-                        const std::vector<Edge>& forward_run,
-                        const std::vector<Edge>& reverse_run);
-
   size_t num_nodes() const { return node_labels_.size(); }
-  size_t num_edges() const { return num_edges_; }
+  /// Distinct edges stored: duplicate (source, label, target) adds count
+  /// once, as Finalize() keeps them.
+  size_t num_edges() const {
+    Finalize();
+    return num_edges_;
+  }
   size_t num_node_labels() const { return node_label_names_.size(); }
   size_t num_edge_labels() const { return edge_label_names_.size(); }
 
@@ -130,8 +117,9 @@ class PropertyGraph {
   /// True when `node` carries node label `label`.
   bool NodeHasLabel(NodeId node, std::string_view label) const;
 
-  /// Sorts/dedups all adjacency indexes. Called lazily by accessors; cheap
-  /// when already finalized.
+  /// Sorts/dedups all adjacency indexes and recounts num_edges(). Called
+  /// lazily by accessors; cheap when already finalized, and after
+  /// appends it sorts only the appended tail and merges it in.
   void Finalize() const;
 
  private:
@@ -150,7 +138,7 @@ class PropertyGraph {
   // Per node-label-id node lists.
   mutable std::vector<std::vector<NodeId>> label_index_;
   mutable bool finalized_ = true;
-  size_t num_edges_ = 0;
+  mutable size_t num_edges_ = 0;  // recounted by Finalize()
 
   static const std::vector<Edge> kNoEdges;
   static const std::vector<NodeId> kNoNodes;

@@ -11,8 +11,8 @@ const std::vector<NodeId> SealedDelta::kNoNodes;
 NodeId DeltaStore::AddNode(const PropertyGraph& base, std::string_view label,
                            std::vector<Property> properties) {
   // The base is frozen only while pending rows exist; an empty delta
-  // re-anchors to whatever the master has grown to (legacy-mode
-  // mutations or a compaction may have moved it).
+  // re-anchors to whatever the base has grown to (a compaction or Use()
+  // may have moved it).
   if (empty()) base_nodes_ = base.num_nodes();
   NodeId id = static_cast<NodeId>(base_nodes_ + nodes_.size());
   PendingNode node;

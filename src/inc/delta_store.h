@@ -3,20 +3,21 @@
 // kept as sorted per-label runs so the rest of the stack can overlay
 // them onto the base adjacency without re-sorting anything.
 //
-// The flow: while the delta is non-empty the Database's master graph is
-// frozen — mutations append here, each publication seals the current
-// pending state into an immutable SealedDelta, and readers execute
-// against base + seal through the overlay Catalog (ra/catalog.h). When
-// the delta exceeds GQOPT_DELTA_MERGE_ROWS (or on an explicit
-// Compact()) the runs merge into the base in one in-place pass
-// (PropertyGraph::MergeSortedEdges) and the buffer clears. A reader
-// always sees either a seal or the compacted base — never a partially
-// merged state.
+// The flow: every Database write appends here and goes through to the
+// master graph; the base that published snapshots share is a frozen copy
+// of the master taken before the first pending row. Each publication
+// seals the current pending state into an immutable SealedDelta, and
+// readers execute against base + seal through the overlay Catalog
+// (ra/catalog.h). When the delta exceeds GQOPT_DELTA_MERGE_ROWS (or on
+// an explicit Compact()) the buffer clears and the next publication
+// re-freezes the master, which already holds every row. A reader always
+// sees either a seal or a re-frozen base — never a partially merged
+// state.
 //
 // Ids: pending nodes take ids base_nodes + i in append order, so every
 // delta id is greater than every base id (merged node extents stay
-// sorted by construction) and compaction replays the pending nodes onto
-// the base yielding identical ids.
+// sorted by construction) and equals the id the master assigns the same
+// node.
 
 #ifndef GQOPT_INC_DELTA_STORE_H_
 #define GQOPT_INC_DELTA_STORE_H_
@@ -54,7 +55,6 @@ struct EdgeRun {
 /// Counters the CLI `stats` command and the tests observe. A consistent
 /// snapshot under the Database state mutex.
 struct DeltaStats {
-  bool enabled = false;
   size_t pending_nodes = 0;
   size_t pending_edges = 0;
   uint64_t appended_nodes = 0;
@@ -65,8 +65,8 @@ struct DeltaStats {
   uint64_t seals = 0;
   uint64_t compactions = 0;
   uint64_t compacted_rows = 0;
-  /// Compactions aborted by an injected kDeltaMerge fault (or a real
-  /// failure): the pending rows stay buffered and the next merge retries.
+  /// Compactions aborted by an injected kDeltaMerge fault: the pending
+  /// rows stay buffered and the next merge retries.
   uint64_t failed_compactions = 0;
 };
 
@@ -159,8 +159,8 @@ using SealedDeltaPtr = std::shared_ptr<const SealedDelta>;
 /// immutable seals.
 class DeltaStore {
  public:
-  /// Buffers a node insert against `base` and returns the id it will
-  /// have after compaction (base.num_nodes() + pending position).
+  /// Buffers a node insert against `base` and returns its id
+  /// (base.num_nodes() + pending position, the id the master assigns).
   NodeId AddNode(const PropertyGraph& base, std::string_view label,
                  std::vector<Property> properties = {});
 
@@ -174,12 +174,6 @@ class DeltaStore {
   size_t pending_rows() const { return nodes_.size() + edge_count_; }
   size_t pending_nodes() const { return nodes_.size(); }
   size_t pending_edges() const { return edge_count_; }
-  size_t base_nodes() const { return base_nodes_; }
-  const std::vector<PendingNode>& nodes() const { return nodes_; }
-  const std::unordered_map<std::string, EdgeRun>& edges() const {
-    return edges_;
-  }
-
   /// Pending runs of one label (empty for untouched labels) — the same
   /// shape a seal exposes, without forcing a publication.
   const std::vector<Edge>& ForwardRun(const std::string& label) const {

@@ -50,22 +50,7 @@ Result<Table> Executor::Run(const RaExprPtr& plan, const ExecContext& ctx) {
   // Rebind the memo charge to this run's budget: releases the previous
   // run's table bytes, then accrues this run's materialized results.
   table_bytes_ = TrackedBytes(ctx.mem);
-  // Preloaded results enter the memo up front, charged like any other
-  // materialized table, so Eval's memo lookups short-circuit their nodes.
-  for (const auto& [node, table] : preloads_) {
-    const std::string& key = KeyOf(node);
-    if (memo_.find(key) != memo_.end()) continue;
-    size_t bytes = table.data().size() * sizeof(NodeId);
-    if (!table_bytes_.Add(static_cast<int64_t>(bytes))) {
-      return AbortStatus(ctx, "plan execution");
-    }
-    memo_.emplace(key, table);
-  }
   return Eval(plan.get(), ctx);
-}
-
-void Executor::Preload(const RaExpr* node, Table table) {
-  preloads_.emplace_back(node, std::move(table));
 }
 
 namespace {

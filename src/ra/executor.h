@@ -40,17 +40,6 @@ class Executor {
   /// pool, parallel row threshold).
   Result<Table> Run(const RaExprPtr& plan, const ExecContext& ctx);
 
-  /// Installs `table` as the memoized result of `node` (and every node
-  /// structurally identical to it) for all subsequent Run() calls. The
-  /// sharded executor's integration point (src/shard/): a result computed
-  /// outside this executor — a frontier-exchange closure, a shard-union
-  /// distinct — short-circuits the node, and the root operators above it
-  /// run unchanged. The caller owes the memo contract: `table` must be
-  /// bit-identical to what evaluating `node` would produce, unless the
-  /// caller deliberately substitutes a partition of the node's rows (the
-  /// per-shard driver tables) and owns the recombination argument.
-  void Preload(const RaExpr* node, Table table);
-
   /// Actual output cardinality per plan node of the most recent Run()
   /// (cleared at the start of each run; memo hits record the shared
   /// table's row count). EXPLAIN's analyze mode prints these next to the
@@ -106,10 +95,6 @@ class Executor {
 
   const Catalog& catalog_;
   std::unordered_map<const RaExpr*, std::string> key_cache_;
-  /// Externally computed results installed into memo_ at the start of
-  /// every Run() (see Preload). Keyed by node pointer — the canonical key
-  /// is resolved per run, after the per-run key cache clears.
-  std::vector<std::pair<const RaExpr*, Table>> preloads_;
   std::unordered_map<std::string, Table> memo_;
   std::unordered_map<const RaExpr*, size_t> actual_rows_;
   std::unordered_map<const RaExpr*, size_t> actual_bytes_;

@@ -21,7 +21,6 @@ constexpr PointName kPointNames[] = {
     {"csr-build", FaultPoint::kCsrBuild},
     {"mem", FaultPoint::kMemReserve},
     {"delta-merge", FaultPoint::kDeltaMerge},
-    {"shard-exchange", FaultPoint::kShardExchange},
 };
 
 bool ParsePoint(std::string_view name, FaultPoint* out) {

@@ -54,20 +54,13 @@ enum class FaultPoint : uint8_t {
   kMemReserve,
   /// Delta-store compaction (Database::Compact and the automatic merge
   /// triggered when pending mutations exceed GQOPT_DELTA_MERGE_ROWS):
-  /// kDeadline/kAlloc abort the merge with a typed "compact: " status
-  /// before the base graph is touched — pending rows stay in the delta
-  /// and the next compaction retries ("delta-merge" in GQOPT_FAULTS).
+  /// kDeadline/kAlloc abort the merge with a typed "compact: " status —
+  /// pending rows stay in the delta, readers keep the overlay, and the
+  /// next compaction retries ("delta-merge" in GQOPT_FAULTS).
   kDeltaMerge,
-  /// Frontier exchange between shards inside a sharded transitive
-  /// closure (src/shard/): kDeadline aborts the closure with a typed
-  /// "deadline: " status naming the exchange, kAlloc forces the
-  /// exchange buffers' allocation to fail — the query surfaces a
-  /// retryable "resource: " status and the shard storage stays intact
-  /// ("shard-exchange" in GQOPT_FAULTS).
-  kShardExchange,
 };
 
-inline constexpr size_t kNumFaultPoints = 11;
+inline constexpr size_t kNumFaultPoints = 10;
 
 /// What happens when an armed point is reached.
 enum class FaultKind : uint8_t {

@@ -1,8 +1,9 @@
 // The api::Database facade: prepare-once/execute-many result identity
 // against the hand-wired stage pipeline, plan-cache semantics (normalized
-// keys, hit/miss counters, invalidation on mutation/swap — a statistics
-// refresh keeps entries and handles), the error taxonomy, and the
-// ExecOptions precedence rule (explicit setter > environment > default).
+// keys, hit/miss counters, invalidation on a dataset swap — graph writes
+// and a statistics refresh keep entries and handles), pending writes on
+// the master graph, the error taxonomy, and the ExecOptions precedence
+// rule (explicit setter > environment > default).
 //
 // tools/run_tier1.sh re-runs this suite with GQOPT_PLAN_CACHE=0 and =1:
 // every assertion about cache behavior therefore pins the enabled state
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -19,6 +21,8 @@
 #include "datasets/ldbc.h"
 #include "datasets/workloads.h"
 #include "datasets/yago.h"
+#include "eval/graph_engine.h"
+#include "graph/consistency.h"
 #include "util/exec_context.h"
 
 namespace gqopt {
@@ -163,41 +167,114 @@ TEST(ApiTest, DisabledCacheNeverHitsAndStoresNothing) {
   EXPECT_EQ(db.plan_cache_stats().entries, 0u);
 }
 
-TEST(ApiTest, GraphMutationInvalidatesCacheAndHandles) {
+TEST(ApiTest, GraphWritesKeepCacheAndHandles) {
   Database db(YagoSchema(), GenerateYago({.persons = 40}));
   db.set_plan_cache_enabled(true);
-  // This test pins the LEGACY write path (mutations rebuild everything);
-  // delta-mode retention is covered by delta_differential_test.
-  db.set_delta_enabled(false);
   Session session(db);
   const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
   auto prepared = session.Prepare(text);
   ASSERT_TRUE(prepared.ok());
   EXPECT_EQ(db.plan_cache_stats().entries, 1u);
+  auto before = (*prepared)->Execute(session);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  const uint64_t generation = db.generation();
+  const uint64_t data_generation = db.data_generation();
 
   NodeId person = db.AddNode("PERSON");
   NodeId property = db.AddNode("PROPERTY");
+  NodeId city = db.AddNode("CITY");
   ASSERT_TRUE(db.AddEdge(person, "owns", property).ok());
+  ASSERT_TRUE(db.AddEdge(property, "isLocatedIn", city).ok());
 
+  // Writes move only the data generation: the schema generation, the
+  // cached entry and the outstanding handle all survive them.
+  EXPECT_EQ(db.generation(), generation);
+  EXPECT_GT(db.data_generation(), data_generation);
   PlanCacheStats stats = db.plan_cache_stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_GE(stats.invalidations, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.invalidations, 0u);
+  EXPECT_EQ((*prepared)->Explain().find("stale"), std::string::npos);
 
-  // The old handle is a snapshot of a past generation: it refuses, and
-  // Explain reports the staleness instead of costing the old plan
-  // against the rebuilt catalog.
-  auto result = (*prepared)->Execute(session);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(ClassifyError(result.status()), QueryStage::kExecute);
-  EXPECT_NE(result.status().message().find("stale"), std::string::npos);
-  EXPECT_NE((*prepared)->Explain().find("stale"), std::string::npos);
+  // The old handle executes against the written data: exactly the one
+  // new (person, city) row joins the earlier result.
+  auto after = (*prepared)->Execute(session);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  auto expected = before->SortedRows();
+  expected.push_back({person, city});
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(after->SortedRows(), expected);
+  EXPECT_EQ(after->SortedRows(), HandWiredRows(db, text));
 
-  // Re-preparing misses (re-plans against the mutated graph) and works.
-  bool hit = true;
+  // Re-preparing hits the retained entry: the same plan, still fitting
+  // the statistics after two more rows.
+  bool hit = false;
   auto again = db.Prepare(text, session.options(), &hit);
   ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(hit);
-  EXPECT_TRUE((*again)->Execute(session).ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again->get(), prepared->get());
+}
+
+// Rows still pending in the delta are on the master graph already, so
+// flat-graph consumers (the graph engine, the consistency checker) agree
+// with relational execution over the overlay.
+TEST(ApiTest, PendingWritesAreOnTheMasterGraph) {
+  Database db(YagoSchema(), GenerateYago({.persons = 40, .seed = 5}));
+  db.set_delta_merge_rows(1u << 20);  // keep every write pending
+  Session session(db);
+  const size_t nodes_before = db.graph().num_nodes();
+  const size_t edges_before = db.graph().num_edges();
+
+  NodeId person = db.AddNode("PERSON", {{"name", Value::String("newcomer")}});
+  NodeId property = db.AddNode("PROPERTY");
+  ASSERT_TRUE(db.AddEdge(person, "owns", property).ok());
+  ASSERT_TRUE(db.AddEdge(property, "isLocatedIn",
+                         db.graph().NodesWithLabel("CITY").front())
+                  .ok());
+  ASSERT_TRUE(db.AddEdge(0, "isMarriedTo", person).ok());
+  ASSERT_EQ(db.delta_stats().pending_nodes, 2u);
+  ASSERT_EQ(db.delta_stats().pending_edges, 3u);
+
+  // db.graph() contains the pending rows.
+  const PropertyGraph& graph = db.graph();
+  EXPECT_EQ(graph.num_nodes(), nodes_before + 2);
+  EXPECT_EQ(graph.num_edges(), edges_before + 3);
+  EXPECT_EQ(graph.NodeLabel(person), "PERSON");
+  EXPECT_EQ(graph.GetProperty(person, "name")->AsString(), "newcomer");
+  const std::vector<Edge>& owns = graph.EdgesByLabel("owns");
+  EXPECT_TRUE(std::binary_search(owns.begin(), owns.end(),
+                                 Edge{person, property}));
+
+  // The graph engine over db.graph() returns Session::Query's rows.
+  GraphEngine engine(db.graph());
+  for (const char* text : {"x1, x2 <- (x1, owns/isLocatedIn, x2)",
+                           "x1, x2 <- (x1, isMarriedTo+, x2)",
+                           "x1, x2 <- (x1, owns/isLocatedIn+, x2)"}) {
+    SCOPED_TRACE(text);
+    auto relational = session.Query(text);
+    ASSERT_TRUE(relational.ok()) << relational.status().ToString();
+    auto query = ParseUcqt(text);
+    ASSERT_TRUE(query.ok());
+    auto walked = engine.Run(*query);
+    ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+    auto rows = relational->SortedRows();
+    EXPECT_EQ(walked->rows, rows);
+    // Every query reaches a pending row.
+    EXPECT_TRUE(std::any_of(rows.begin(), rows.end(),
+                            [&](const std::vector<NodeId>& row) {
+                              return row[0] == person || row[1] == person;
+                            }));
+  }
+
+  // The consistency checker sees the new nodes: a conforming write
+  // keeps the graph consistent, a node with an undeclared label is
+  // reported.
+  EXPECT_TRUE(CheckConsistency(db.graph(), db.schema()).consistent());
+  db.AddNode("STRANGER");
+  ConsistencyReport report = CheckConsistency(db.graph(), db.schema());
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].kind,
+            ConsistencyViolation::Kind::kUnknownNodeLabel);
+  EXPECT_GT(db.delta_stats().pending_nodes, 0u);
 }
 
 TEST(ApiTest, DatasetSwapInvalidatesCacheAndHandles) {

@@ -67,14 +67,12 @@ TEST(DeltaDifferentialTest, OverlayIsBitIdenticalToCompactedExecution) {
   // Overlay database: every mutation stays pending (threshold far above
   // the batch), queries run base + seal.
   Database overlay(YagoSchema(), GenerateYago({.persons = 60, .seed = 9}));
-  overlay.set_delta_enabled(true);
   overlay.set_delta_merge_rows(1u << 20);
   ApplyMutations(overlay);
   ASSERT_GT(overlay.delta_stats().pending_edges, 0u);
 
   // Compacted database: the same rows merged into the base graph.
   Database compacted(YagoSchema(), GenerateYago({.persons = 60, .seed = 9}));
-  compacted.set_delta_enabled(true);
   compacted.set_delta_merge_rows(1u << 20);
   ApplyMutations(compacted);
   ASSERT_TRUE(compacted.Compact().ok());
@@ -116,7 +114,6 @@ TEST(DeltaDifferentialTest, CompactionPreservesAnswersMidStream) {
   // One database, queried before and after its own compaction: the
   // visible rows must not move when the representation changes.
   Database db(YagoSchema(), GenerateYago({.persons = 50, .seed = 21}));
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(1u << 20);
   ApplyMutations(db);
   Session session(db);
@@ -137,7 +134,6 @@ TEST(DeltaDifferentialTest, CompactionPreservesAnswersMidStream) {
 TEST(DeltaDifferentialTest, DataMutationRetainsUnrelatedCachedPlans) {
   Database db(YagoSchema(), GenerateYago({.persons = 50, .seed = 33}));
   db.set_plan_cache_enabled(true);
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(1u << 20);
   Session session(db);
   const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
@@ -165,7 +161,6 @@ TEST(DeltaDifferentialTest, DataMutationRetainsUnrelatedCachedPlans) {
 TEST(DeltaDifferentialTest, CardinalityDriftPastThresholdReplans) {
   Database db(YagoSchema(), GenerateYago({.persons = 30, .seed = 35}));
   db.set_plan_cache_enabled(true);
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(1u << 20);
   db.set_plan_drift_threshold(2.0);
   Session session(db);
@@ -199,7 +194,6 @@ TEST(DeltaDifferentialTest, CardinalityDriftPastThresholdReplans) {
 TEST(DeltaDifferentialTest, RetainedHandleObservesFreshRows) {
   Database db(YagoSchema(), GenerateYago({.persons = 30, .seed = 41}));
   db.set_plan_cache_enabled(true);
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(1u << 20);
   Session session(db);
   auto prepared = session.Prepare("x1, x2 <- (x1, owns, x2)");
@@ -223,10 +217,9 @@ TEST(DeltaDifferentialTest, RetainedHandleObservesFreshRows) {
 
 TEST(DeltaDifferentialTest, SchemaGenerationStillInvalidatesEverything) {
   // The generation split's other half: Use() (a schema/dataset swap)
-  // keeps full invalidation semantics even with delta mode on.
+  // keeps full invalidation semantics, pending writes or not.
   Database db(YagoSchema(), GenerateYago({.persons = 30, .seed = 43}));
   db.set_plan_cache_enabled(true);
-  db.set_delta_enabled(true);
   Session session(db);
   auto prepared = session.Prepare("x1, x2 <- (x1, owns/isLocatedIn, x2)");
   ASSERT_TRUE(prepared.ok());

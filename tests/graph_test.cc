@@ -74,6 +74,30 @@ TEST(PropertyGraphTest, DuplicateEdgesDeduplicated) {
   EXPECT_EQ(graph.EdgesByLabel("e").size(), 1u);
 }
 
+// num_edges() counts stored edges: a duplicate (source, label, target)
+// counts once, whether it arrives through AddEdge or as a repeated line
+// of the text format.
+TEST(PropertyGraphTest, NumEdgesCountsDuplicatesOnce) {
+  PropertyGraph graph;
+  NodeId a = graph.AddNode("A");
+  NodeId b = graph.AddNode("B");
+  ASSERT_TRUE(graph.AddEdge(a, "e", b).ok());
+  ASSERT_TRUE(graph.AddEdge(a, "e", b).ok());
+  ASSERT_TRUE(graph.AddEdge(b, "e", a).ok());
+  ASSERT_TRUE(graph.AddEdge(a, "f", b).ok());  // same pair, other label
+  EXPECT_EQ(graph.num_edges(), 3u);
+  // After a count, a duplicate still adds nothing and a new edge one.
+  ASSERT_TRUE(graph.AddEdge(b, "e", a).ok());
+  EXPECT_EQ(graph.num_edges(), 3u);
+  ASSERT_TRUE(graph.AddEdge(b, "f", a).ok());
+  EXPECT_EQ(graph.num_edges(), 4u);
+
+  auto read = ReadGraphText("N|A|\nN|B|\nE|0|e|1\nE|0|e|1\nE|1|e|0\n");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->num_edges(), 2u);
+  EXPECT_EQ(read->EdgesByLabel("e").size(), 2u);
+}
+
 TEST(PropertyGraphTest, EdgeEndpointValidation) {
   PropertyGraph graph;
   graph.AddNode("A");

@@ -1,11 +1,11 @@
 // The incremental-maintenance subsystem (src/inc) in isolation: the
 // DeltaStore's id assignment / dedup / seal caching, the two-cursor
-// MergedEdgeRun union, in-place base merges (MergeSortedEdges and
-// AppendNodeFinalized against a from-scratch rebuild), the incremental
-// closure extension against a full recompute, overlay statistics against
-// a recollect over the compacted graph, and the Database-level delta
-// lifecycle: auto-compaction at the threshold and typed kDeltaMerge
-// fault handling with retry.
+// MergedEdgeRun union, the incremental closure extension against a full
+// recompute, overlay statistics against a recollect over the compacted
+// graph, and the Database-level write path: the master graph and the
+// re-frozen base against a from-scratch build, pending rows on the
+// master, auto-compaction at the threshold and typed kDeltaMerge fault
+// handling with retry.
 
 #include <gtest/gtest.h>
 
@@ -131,62 +131,6 @@ TEST_F(IncTest, MergedEdgeRunScansTheAscendingUnion) {
   EXPECT_EQ(run.Materialize(), expected);
 }
 
-TEST_F(IncTest, MergeSortedEdgesMatchesFromScratchRebuild) {
-  Rng rng(31);
-  const size_t kNodes = 300;
-  std::vector<Edge> first, second;
-  for (size_t i = 0; i < 1500; ++i) {
-    Edge e{static_cast<NodeId>(rng.Uniform(kNodes)),
-           static_cast<NodeId>(rng.Uniform(kNodes))};
-    (i % 3 == 0 ? second : first).push_back(e);
-  }
-
-  // Reference: everything added up front, one Finalize.
-  PropertyGraph all;
-  for (size_t i = 0; i < kNodes; ++i) all.AddNode("N");
-  NodeId extra_all = all.AddNode("M");
-  for (const Edge& e : first) (void)all.AddEdge(e.first, "e", e.second);
-  for (const Edge& e : second) (void)all.AddEdge(e.first, "e", e.second);
-  (void)all.AddEdge(0, "g", extra_all);  // label only the second batch has
-  all.Finalize();
-
-  // Incremental: first batch finalized, second batch buffered through a
-  // DeltaStore (which produces the disjoint sorted runs a compaction
-  // replays) and merged in place.
-  PropertyGraph grown;
-  for (size_t i = 0; i < kNodes; ++i) grown.AddNode("N");
-  for (const Edge& e : first) (void)grown.AddEdge(e.first, "e", e.second);
-  grown.Finalize();
-  inc::DeltaStore delta;
-  NodeId extra_grown = delta.AddNode(grown, "M");
-  EXPECT_EQ(extra_grown, extra_all);
-  for (const Edge& e : second) {
-    ASSERT_TRUE(delta.AddEdge(grown, e.first, "e", e.second).ok());
-  }
-  ASSERT_TRUE(delta.AddEdge(grown, 0, "g", extra_grown).ok());
-  for (const inc::PendingNode& node : delta.nodes()) {
-    grown.AppendNodeFinalized(node.label, node.properties);
-  }
-  for (const auto& [label, run] : delta.edges()) {
-    grown.MergeSortedEdges(label, run.forward, run.reverse);
-  }
-
-  EXPECT_EQ(grown.num_nodes(), all.num_nodes());
-  // num_edges() is not compared: the legacy AddEdge path counts raw
-  // appends (duplicates included) while the delta path dedups at append
-  // time — the edge *tables* below are the authoritative comparison.
-  for (const char* label : {"e", "g"}) {
-    EXPECT_EQ(grown.EdgesByLabel(label), all.EdgesByLabel(label)) << label;
-    EXPECT_EQ(grown.ReverseEdgesByLabel(label),
-              all.ReverseEdgesByLabel(label))
-        << label;
-  }
-  for (const char* label : {"N", "M"}) {
-    EXPECT_EQ(grown.NodesWithLabel(label), all.NodesWithLabel(label))
-        << label;
-  }
-}
-
 TEST_F(IncTest, ExtendedClosureMatchesFullRecompute) {
   Rng rng(47);
   const size_t kNodes = 120;
@@ -260,14 +204,13 @@ TEST_F(IncTest, OverlayStatisticsMatchCompactedRecollect) {
   PropertyGraph compacted = base;
   inc::DeltaStore delta;
   NodeId added = delta.AddNode(base, "D");  // fresh label, fresh extent
+  EXPECT_EQ(compacted.AddNode("D"), added);
   for (const Edge& e : delta_edges) {
     ASSERT_TRUE(delta.AddEdge(base, e.first, "e", e.second).ok());
+    ASSERT_TRUE(compacted.AddEdge(e.first, "e", e.second).ok());
   }
   ASSERT_TRUE(delta.AddEdge(base, 0, "f", added).ok());  // fresh edge label
-  compacted.AppendNodeFinalized("D");
-  for (const auto& [label, run] : delta.edges()) {
-    compacted.MergeSortedEdges(label, run.forward, run.reverse);
-  }
+  ASSERT_TRUE(compacted.AddEdge(0, "f", added).ok());
 
   Catalog base_catalog(base);
   // Warm the base cache first: the overlay must extend cached numbers,
@@ -302,10 +245,74 @@ TEST_F(IncTest, OverlayStatisticsMatchCompactedRecollect) {
   EXPECT_EQ(overlay.NodeExtent("A"), recollect.NodeExtent("A"));
 }
 
+// Writes through the Database land in the delta and on the master: the
+// master, and the base a compaction re-freezes from it, must equal a
+// graph built from scratch with every row.
+TEST_F(IncTest, WrittenGraphMatchesFromScratchBuild) {
+  Rng rng(31);
+  const size_t kNodes = 300;
+  std::vector<Edge> first, second;
+  for (size_t i = 0; i < 1500; ++i) {
+    Edge e{static_cast<NodeId>(rng.Uniform(kNodes)),
+           static_cast<NodeId>(rng.Uniform(kNodes))};
+    (i % 3 == 0 ? second : first).push_back(e);
+  }
+
+  // Reference: everything added up front, one Finalize.
+  PropertyGraph all;
+  for (size_t i = 0; i < kNodes; ++i) all.AddNode("N");
+  NodeId extra_all = all.AddNode("M");
+  for (const Edge& e : first) (void)all.AddEdge(e.first, "e", e.second);
+  for (const Edge& e : second) (void)all.AddEdge(e.first, "e", e.second);
+  (void)all.AddEdge(0, "g", extra_all);  // label only the second batch has
+  all.Finalize();
+
+  // Written: the first batch as the loaded graph, the second through the
+  // Database write path, all of it still pending.
+  PropertyGraph loaded;
+  for (size_t i = 0; i < kNodes; ++i) loaded.AddNode("N");
+  for (const Edge& e : first) (void)loaded.AddEdge(e.first, "e", e.second);
+  Database db;
+  db.Use(GraphSchema(), std::move(loaded));
+  db.set_delta_merge_rows(1u << 20);
+  NodeId extra = db.AddNode("M");
+  EXPECT_EQ(extra, extra_all);
+  for (const Edge& e : second) {
+    ASSERT_TRUE(db.AddEdge(e.first, "e", e.second).ok());
+  }
+  ASSERT_TRUE(db.AddEdge(0, "g", extra).ok());
+  ASSERT_GT(db.delta_stats().pending_edges, 0u);
+
+  auto expect_equal = [&](const PropertyGraph& graph) {
+    EXPECT_EQ(graph.num_nodes(), all.num_nodes());
+    EXPECT_EQ(graph.num_edges(), all.num_edges());
+    for (const char* label : {"e", "g"}) {
+      EXPECT_EQ(graph.EdgesByLabel(label), all.EdgesByLabel(label)) << label;
+      EXPECT_EQ(graph.ReverseEdgesByLabel(label),
+                all.ReverseEdgesByLabel(label))
+          << label;
+    }
+    for (const char* label : {"N", "M"}) {
+      EXPECT_EQ(graph.NodesWithLabel(label), all.NodesWithLabel(label))
+          << label;
+    }
+  };
+  {
+    SCOPED_TRACE("master with rows pending");
+    expect_equal(db.graph());
+  }
+  ASSERT_TRUE(db.Compact().ok());
+  {
+    SCOPED_TRACE("re-frozen base after compaction");
+    api::SnapshotPtr snapshot = db.snapshot();
+    EXPECT_EQ(snapshot->delta(), nullptr);
+    expect_equal(snapshot->graph());
+  }
+}
+
 TEST_F(IncTest, AutoCompactionFiresAtTheThreshold) {
   Database db;
   db.Use(GraphSchema(), SmallBase());
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(3);
 
   ASSERT_TRUE(db.AddEdge(0, "e", 3).ok());
@@ -328,37 +335,41 @@ TEST_F(IncTest, AutoCompactionFiresAtTheThreshold) {
                                  Edge{3, node}));
 }
 
-TEST_F(IncTest, MaterializedGraphIncludesPendingRows) {
+TEST_F(IncTest, MasterGraphIncludesPendingRows) {
   // Flat-graph consumers (graph engine, consistency checker) cannot
-  // read the overlay: MaterializedGraph replays the pending delta into
-  // a merged copy so they agree with relational execution mid-delta.
+  // read the overlay: every write goes through to the master graph, so
+  // graph() agrees with relational execution mid-delta.
   Database db;
   db.Use(GraphSchema(), SmallBase());
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(1u << 20);
-
-  // Empty delta: borrows the master, no copy.
-  EXPECT_EQ(db.MaterializedGraph().get(), &db.graph());
+  const size_t base_nodes = db.graph().num_nodes();
 
   NodeId node = db.AddNode("B");
   ASSERT_TRUE(db.AddEdge(0, "e", node).ok());
   ASSERT_GT(db.delta_stats().pending_edges, 0u);
-  // The master is delta-blind; the materialized copy is not.
-  EXPECT_FALSE(std::binary_search(db.graph().EdgesByLabel("e").begin(),
-                                  db.graph().EdgesByLabel("e").end(),
-                                  Edge{0, node}));
-  auto merged = db.MaterializedGraph();
-  EXPECT_NE(merged.get(), &db.graph());
-  EXPECT_EQ(merged->num_nodes(), db.graph().num_nodes() + 1);
-  EXPECT_TRUE(std::binary_search(merged->EdgesByLabel("e").begin(),
-                                 merged->EdgesByLabel("e").end(),
-                                 Edge{0, node}));
-  // Materializing never drains the buffer or touches the master.
-  EXPECT_GT(db.delta_stats().pending_edges, 0u);
-
-  // After compaction the rows live on the master and the borrow returns.
-  ASSERT_TRUE(db.Compact().ok());
+  // The master holds the pending rows; MaterializedGraph is the same
+  // graph.
   EXPECT_EQ(db.MaterializedGraph().get(), &db.graph());
+  EXPECT_EQ(db.graph().num_nodes(), base_nodes + 1);
+  EXPECT_TRUE(std::binary_search(db.graph().EdgesByLabel("e").begin(),
+                                 db.graph().EdgesByLabel("e").end(),
+                                 Edge{0, node}));
+  // The published base stays frozen: readers see the row through the
+  // overlay only.
+  api::SnapshotPtr snapshot = db.snapshot();
+  EXPECT_EQ(snapshot->graph().num_nodes(), base_nodes);
+  EXPECT_FALSE(std::binary_search(snapshot->graph().EdgesByLabel("e").begin(),
+                                  snapshot->graph().EdgesByLabel("e").end(),
+                                  Edge{0, node}));
+  Session session(db, NoRewrite());
+  auto scan = session.Query("x, y <- (x, e, y)");
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->rows(), db.graph().EdgesByLabel("e").size());
+
+  // After compaction the re-frozen base holds the row as well.
+  ASSERT_TRUE(db.Compact().ok());
+  EXPECT_EQ(db.delta_stats().pending_edges, 0u);
+  EXPECT_EQ(db.snapshot()->graph().num_nodes(), base_nodes + 1);
   EXPECT_TRUE(std::binary_search(db.graph().EdgesByLabel("e").begin(),
                                  db.graph().EdgesByLabel("e").end(),
                                  Edge{0, node}));
@@ -367,7 +378,6 @@ TEST_F(IncTest, MaterializedGraphIncludesPendingRows) {
 TEST_F(IncTest, DeltaMergeFaultLeavesPendingRowsAndRetries) {
   Database db;
   db.Use(GraphSchema(), SmallBase());
-  db.set_delta_enabled(true);
   ASSERT_TRUE(db.AddEdge(0, "e", 3).ok());
 
   Session session(db, NoRewrite());
@@ -402,7 +412,6 @@ TEST_F(IncTest, DeltaMergeFaultLeavesPendingRowsAndRetries) {
 TEST_F(IncTest, DeltaMergeDeadlineFaultIsTyped) {
   Database db;
   db.Use(GraphSchema(), SmallBase());
-  db.set_delta_enabled(true);
   ASSERT_TRUE(db.AddEdge(2, "e", 0).ok());
   FaultInjector::Global().Arm(FaultPoint::kDeltaMerge, FaultKind::kDeadline);
   Status failed = db.Compact();

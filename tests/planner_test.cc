@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "datasets/ldbc.h"
-#include "eval/aggregate.h"
 #include "datasets/workloads.h"
 #include "datasets/yago.h"
 #include "query/query_parser.h"
@@ -363,22 +362,6 @@ TEST(PlannerTest, DpPlansTenRelationChainUnderCutoff) {
   RaExprPtr greedy = OptimizePlan(plan, catalog, GreedyOptions());
   EXPECT_LE(estimator.Estimate(TopJoin(dp)).cost,
             estimator.Estimate(TopJoin(greedy)).cost * (1 + 1e-9));
-}
-
-TEST(PlannerTest, AggregateLoopsHonorDeadline) {
-  // 1 << 17 rows: enough for the amortized DeadlinePoller (2^16 stride)
-  // to consult the clock at least once inside the grouping loop.
-  std::vector<NodeId> data;
-  data.reserve(size_t{1} << 17);
-  for (size_t i = 0; i < (size_t{1} << 17); ++i) {
-    data.push_back(static_cast<NodeId>(i));
-  }
-  Table table = Table::FromData({"x"}, std::move(data));
-  Deadline expired = Deadline::AfterMillis(1);
-  while (!expired.Expired()) {
-  }
-  auto result = CountByGroup(table, {"x"}, expired);
-  EXPECT_FALSE(result.ok());
 }
 
 }  // namespace

@@ -190,22 +190,19 @@ TEST(ServingStormTest, CachedServerStormMatchesSerial) {
 
 // ---- Mutation during traffic -----------------------------------------------
 
-// Readers storm while a writer adds nodes (which bumps the generation and
-// invalidates the publication, but cannot change any query's result
-// rows). Every OK result must still be bit-identical to the baseline;
-// the only acceptable failure is the typed stale-handle error that
-// surfaces when the mutation storm outpaces Session::Query's bounded
-// re-prepares.
+// Readers storm while a writer adds nodes (each retires the publication
+// and advances the data generation, but cannot change any query's result
+// rows). Every result must be OK and bit-identical to the baseline:
+// writes never stale a handle, so Session::Query has nothing to retry.
 TEST(ServingMutationTest, MutationDuringTrafficStaysSound) {
   FaultGuard faults;
   Database db(YagoSchema(), GenerateYago({.persons = 120, .seed = 7}));
-  // Pin the legacy write path: this test asserts the full
-  // rebuild-per-mutation generation counting.
-  db.set_delta_enabled(false);
   ExecOptions options = ExecOptions::FromEnv();
   options.timeout_ms = 0;
   auto baseline = BaselineRows(db, kQueries[0], options);
-  uint64_t start_generation = db.generation();
+  const uint64_t start_generation = db.generation();
+  const uint64_t start_data_generation = db.data_generation();
+  const size_t start_nodes = db.graph().num_nodes();
 
   constexpr size_t kReaders = 3;
   constexpr int kMutations = 40;
@@ -217,14 +214,12 @@ TEST(ServingMutationTest, MutationDuringTrafficStaysSound) {
       Session session(db, options);
       while (!stop.load(std::memory_order_acquire)) {
         auto result = session.Query(kQueries[0]);
-        if (result.ok()) {
-          if (result->SortedRows() != baseline) {
-            errors[t] = "rows diverged under mutation";
-            return;
-          }
-        } else if (result.status().message().find("stale prepared query") ==
-                   std::string::npos) {
+        if (!result.ok()) {
           errors[t] = result.status().ToString();
+          return;
+        }
+        if (result->SortedRows() != baseline) {
+          errors[t] = "rows diverged under mutation";
           return;
         }
       }
@@ -238,29 +233,43 @@ TEST(ServingMutationTest, MutationDuringTrafficStaysSound) {
   for (auto& thread : readers) thread.join();
 
   for (size_t t = 0; t < kReaders; ++t) EXPECT_EQ(errors[t], "");
-  EXPECT_EQ(db.generation(), start_generation + kMutations);
-  EXPECT_GE(db.plan_cache_stats().invalidations, 1u);
+  // Every write landed and advanced the data generation; none touched
+  // the schema generation or the plan cache.
+  EXPECT_EQ(db.graph().num_nodes(), start_nodes + kMutations);
+  EXPECT_GE(db.data_generation(), start_data_generation + kMutations);
+  EXPECT_EQ(db.generation(), start_generation);
+  EXPECT_EQ(db.plan_cache_stats().invalidations, 0u);
 }
 
 // The PreparedQuery TOCTOU regression: a handle prepared just before a
-// mutation lands must either execute on its captured snapshot (correct
-// rows) or refuse with the typed stale error — never run the old plan
-// against swapped-out state.
+// write lands must execute on one whole snapshot — the one it captured
+// or the current one it re-resolves to — with correct rows, never run
+// against swapped-out state and never be refused: writes do not stale
+// handles.
 TEST(ServingMutationTest, PreparedHandleExecuteVsConcurrentMutator) {
   FaultGuard faults;
   Database db(YagoSchema(), GenerateYago({.persons = 120, .seed = 7}));
-  db.set_delta_enabled(false);  // the stale-or-refuse contract is legacy
   ExecOptions options;
   options.timeout_ms = 0;
   auto baseline = BaselineRows(db, kQueries[0], options);
 
   std::atomic<bool> stop{false};
+  std::atomic<int> writes{0};
   std::thread mutator([&] {
     while (!stop.load(std::memory_order_acquire)) {
       db.AddNode("Person");
+      writes.fetch_add(1, std::memory_order_release);
       std::this_thread::yield();
     }
   });
+  // Start racing once the writer runs (bounded, so a stuck writer fails
+  // the count below instead of hanging the test).
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(20);
+  while (writes.load(std::memory_order_acquire) == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
 
   Session session(db, options);
   std::string error;
@@ -271,19 +280,19 @@ TEST(ServingMutationTest, PreparedHandleExecuteVsConcurrentMutator) {
       break;
     }
     auto result = (*prepared)->Execute(session);
-    if (result.ok()) {
-      if (result->SortedRows() != baseline) error = "rows diverged";
-    } else if (result.status().message().find("stale prepared query") ==
-               std::string::npos) {
+    if (!result.ok()) {
       error = result.status().ToString();
+    } else if (result->SortedRows() != baseline) {
+      error = "rows diverged";
     }
   }
   stop.store(true, std::memory_order_release);
   mutator.join();
   EXPECT_EQ(error, "");
+  EXPECT_GT(db.delta_stats().appended_nodes, 0u);
 }
 
-// Delta-mode storm: a writer appends through the delta store — with the
+// Write storm: a writer appends through the delta store — with the
 // kDeltaMerge fault injected so a third of the merges fail, and periodic
 // explicit compactions — while readers query concurrently. Inserts are
 // monotone, so every read must return a superset of the pre-storm rows
@@ -293,7 +302,6 @@ TEST(ServingMutationTest, PreparedHandleExecuteVsConcurrentMutator) {
 TEST(ServingMutationTest, DeltaMutateQueryStormUnderMergeFaults) {
   FaultGuard faults;
   Database db(YagoSchema(), GenerateYago({.persons = 80, .seed = 13}));
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(64);
   ExecOptions options;
   options.timeout_ms = 0;
@@ -366,13 +374,15 @@ TEST(ServingMutationTest, DeltaMutateQueryStormUnderMergeFaults) {
 
 // A chain graph whose transitive closure takes real time: the occupier
 // thread keeps the single-slot queue busy so admission control and the
-// pressure ladder engage deterministically enough to observe.
+// pressure ladder engage deterministically enough to observe. The writes
+// are compacted, so the closure runs over the plain base graph.
 std::unique_ptr<Database> ChainDb(int nodes) {
   auto db = std::make_unique<Database>();
   for (int i = 0; i < nodes; ++i) db->AddNode("Node");
   for (int i = 0; i + 1 < nodes; ++i) {
     EXPECT_TRUE(db->AddEdge(i, "next", i + 1).ok());
   }
+  EXPECT_TRUE(db->Compact().ok());
   return db;
 }
 
@@ -396,16 +406,30 @@ TEST(ServingShedTest, FullQueueShedsWithTypedOverloadedStatus) {
     }
   });
 
+  // Nothing can shed before the occupier holds the slot, so wait for its
+  // first admission; the wall-clock bound keeps a stuck occupier from
+  // hanging the test. From then on only a full queue counts as an
+  // attempt: the brief gaps between two occupier queries cost yields,
+  // not attempts.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(20);
+  while (server.stats().admitted == 0 && Clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+
   // While a slow closure occupies the only queue slot, EXPLAIN through
   // the serving layer reports the ladder at work and a cheap query sheds
   // with the typed, retryable "overloaded: " status.
   bool observed_shed = false;
   bool observed_degraded_explain = false;
-  for (int attempt = 0; attempt < 200 && !observed_shed; ++attempt) {
+  for (int attempt = 0;
+       attempt < 200 && !(observed_shed && observed_degraded_explain) &&
+       Clock::now() < give_up;) {
     if (server.queue_depth() < 1) {
       std::this_thread::yield();
       continue;
     }
+    ++attempt;
     if (!observed_degraded_explain) {
       auto explained = server.Explain("x1, x2 <- (x1, next, x2)", cheap);
       if (explained.ok() &&
@@ -414,6 +438,7 @@ TEST(ServingShedTest, FullQueueShedsWithTypedOverloadedStatus) {
         observed_degraded_explain = true;
       }
     }
+    if (observed_shed) continue;
     auto response = server.Query("x1, x2 <- (x1, next, x2)", cheap);
     if (!response.result.ok()) {
       const Status& status = response.result.status();
@@ -480,10 +505,6 @@ TEST(DegradationTest, ApplyDegradationRungs) {
 TEST(DegradationTest, StaleStatisticsServing) {
   FaultGuard faults;
   Database db(YagoSchema(), GenerateYago({.persons = 60, .seed = 7}));
-  // Pin legacy mutation semantics: the final assertion relies on AddNode
-  // discarding the cached (stale-planned) entry, whereas delta mode
-  // deliberately retains it across data mutations.
-  db.set_delta_enabled(false);
   ExecOptions options;
   ASSERT_TRUE(db.Prepare(kQueries[0], options).ok());  // publish a snapshot
   db.RefreshStatistics();
@@ -500,12 +521,34 @@ TEST(DegradationTest, StaleStatisticsServing) {
   ASSERT_TRUE(prepared.ok());
   EXPECT_TRUE((*prepared)->stale_statistics());
 
-  // A mutation kills the old publication entirely: no stale serving
-  // across generations, the next prepare rebuilds fresh.
-  db.AddNode("Person");
-  auto fresh = db.Prepare(kQueries[0], degraded);
+  auto before = (*prepared)->Execute(Session(db, degraded));
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  // A write kills the old publication entirely: statistics may be stale,
+  // data never. StaleOkSnapshot rebuilds instead of serving the
+  // pre-write publication, a fresh prepare plans on fresh statistics,
+  // and the handle planned on stale statistics executes on the new data.
+  NodeId person = db.AddNode("PERSON");
+  NodeId property = db.AddNode("PROPERTY");
+  NodeId city = db.AddNode("CITY");
+  ASSERT_TRUE(db.AddEdge(person, "owns", property).ok());
+  ASSERT_TRUE(db.AddEdge(property, "isLocatedIn", city).ok());
+  served_stale = true;
+  SnapshotPtr current = db.StaleOkSnapshot(&served_stale);
+  EXPECT_FALSE(served_stale);
+  EXPECT_EQ(current->data_generation(), db.data_generation());
+  ExecOptions uncached = degraded;
+  uncached.use_plan_cache = false;  // a real prepare, not a retained entry
+  auto fresh = db.Prepare(kQueries[0], uncached);
   ASSERT_TRUE(fresh.ok());
   EXPECT_FALSE((*fresh)->stale_statistics());
+  auto after = (*prepared)->Execute(Session(db, degraded));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->rows(), before->rows() + 1);
+  auto rows = after->SortedRows();
+  EXPECT_NE(std::find(rows.begin(), rows.end(),
+                      std::vector<NodeId>{person, city}),
+            rows.end());
 }
 
 // ---- Retry and backoff -----------------------------------------------------
@@ -677,11 +720,6 @@ TEST(ServingStormTest, MemoryStormUnderSmallServerBudget) {
   const std::vector<std::vector<NodeId>> light_rows =
       light_result->SortedRows();
 
-  // Standing consumption before the storm: zero unsharded, the partition's
-  // per-shard tracker charges when GQOPT_SHARDS is ambient. Query-transient
-  // reservations must drain back to exactly this figure.
-  const int64_t standing = db.memory().consumed();
-
   int64_t budget = natural_peak / 4;
   if (budget < 1) budget = 1;
   db.set_memory_limit(budget);
@@ -726,9 +764,9 @@ TEST(ServingStormTest, MemoryStormUnderSmallServerBudget) {
   // sailed through every time.
   EXPECT_GT(heavy_rejections.load(), 0);
   // The drained storm returned every reservation: the ledger is back to
-  // its standing level, and lifting the ceiling restores full service
-  // with identical rows.
-  EXPECT_EQ(db.memory().consumed(), standing);
+  // zero, and lifting the ceiling restores full service with identical
+  // rows.
+  EXPECT_EQ(db.memory().consumed(), 0);
   db.set_memory_limit(0);
   auto after = Session(db, options).Query(kHeavy);
   ASSERT_TRUE(after.ok()) << after.status().ToString();

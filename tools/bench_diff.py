@@ -41,15 +41,6 @@ PAIRS = [
     # Seeded-closure top-k with the frontier prune vs the same query with
     # pruning disabled (full fixpoint feeding the bounded heap).
     ("BM_ClosureTopKPruned", "BM_ClosureTopKFull"),
-    # Mixed read/write through the facade: delta-buffered writes with
-    # overlay reads and retained plans vs the legacy rebuild-per-write
-    # path (catalog + statistics + plans reconstructed on each mutation).
-    ("BM_MixedReadWriteDelta", "BM_MixedReadWriteRebuild"),
-    # The shard layer's headline queries: per-shard fixpoints with frontier
-    # exchange (closure) and driver fan-out + union (join) over a 4-way
-    # partition vs the same facade queries against unsharded storage.
-    ("BM_ShardedClosure", "BM_UnshardedClosure"),
-    ("BM_ShardedJoin", "BM_UnshardedJoin"),
 ]
 
 # Pairs whose clients block on the server's worker pool (UseRealTime):

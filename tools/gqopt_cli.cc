@@ -12,8 +12,8 @@
 //   gqopt> sql     x1, x2 <- (x1, knows+, x2)
 //   gqopt> cypher  x1, x2 <- (x1, knows/workAt/isLocatedIn, x2)
 //   gqopt> cache             # plan-cache counters (incl. LRU evictions)
-//   gqopt> delta on          # route writes through the delta store
 //   gqopt> mutate edge 3 knows 17
+//   gqopt> delta             # pending delta rows + write counters
 //   gqopt> compact           # merge pending delta rows into the base
 //   gqopt> stress 4 200 x1, x2 <- (x1, knows+, x2)
 //   gqopt> faults plan=deadline:5
@@ -69,15 +69,12 @@ void PrintHelp() {
       "  sql <query>                recursive SQL translation\n"
       "  cypher <query>             Cypher translation\n"
       "  cache                      plan-cache counters (hits/evictions)\n"
-      "  delta [on|off]             delta-store counters, or switch the\n"
-      "                             write path (on: buffered + retained\n"
-      "                             plans; off: rebuild per mutation)\n"
+      "  delta                      delta-store counters (pending rows,\n"
+      "                             appends, compactions)\n"
       "  mutate node <label>        insert a node, print its id\n"
       "  mutate edge <src> <label> <tgt>\n"
       "                             insert an edge by endpoint ids\n"
       "  compact                    merge pending delta rows into the base\n"
-      "  shards [K [hash|range]]    show the shard layout, or repartition\n"
-      "                             the base graph into K shards (1 = off)\n"
       "  stress <clients> <reqs> [query]\n"
       "                             concurrent storm through the serving\n"
       "                             layer; reports throughput + shed/\n"
@@ -207,22 +204,13 @@ void DoCacheStats(const api::Database& db) {
               static_cast<unsigned long long>(stats.evictions));
 }
 
-void DoDelta(api::Database& db, const std::string& rest) {
-  if (rest == "on" || rest == "off") {
-    db.set_delta_enabled(rest == "on");
-    std::printf("delta writes %s\n",
-                rest == "on" ? "enabled (mutations buffer and cached plans "
-                               "are retained)"
-                             : "disabled (mutations rebuild the catalog)");
-    return;
-  }
+void DoDelta(const api::Database& db, const std::string& rest) {
   if (!rest.empty()) {
-    std::puts("usage: delta [on|off]");
+    std::puts("usage: delta");
     return;
   }
   inc::DeltaStats stats = db.delta_stats();
-  std::printf("delta store: %s, %zu pending rows (%zu nodes, %zu edges)\n",
-              stats.enabled ? "enabled" : "disabled",
+  std::printf("delta store: %zu pending rows (%zu nodes, %zu edges)\n",
               stats.pending_nodes + stats.pending_edges, stats.pending_nodes,
               stats.pending_edges);
   std::printf("  appended      %llu nodes, %llu edges\n",
@@ -343,50 +331,6 @@ void DoStress(const api::Database& db, const api::ExecOptions& options,
   }
 }
 
-// shards [K [hash|range]] — report the active shard layout (per-shard
-// edge counts and the crossing-edge total that bounds frontier-exchange
-// traffic), optionally repartitioning first via Database::set_shards.
-void DoShards(api::Database& db, const std::string& rest) {
-  if (!rest.empty()) {
-    auto parts = Split(rest, ' ');
-    int k = static_cast<int>(std::strtol(parts[0].c_str(), nullptr, 10));
-    if (k < 1) {
-      std::puts("usage: shards [K [hash|range]]");
-      return;
-    }
-    shard::ShardPolicy policy = shard::ShardPolicy::kHash;
-    if (parts.size() > 1) {
-      if (parts[1] == "range") {
-        policy = shard::ShardPolicy::kRange;
-      } else if (parts[1] != "hash") {
-        std::puts("usage: shards [K [hash|range]]");
-        return;
-      }
-    }
-    db.set_shards(k, policy);
-  }
-  const shard::ShardedGraph* sharded = db.snapshot()->sharded();
-  if (sharded == nullptr) {
-    std::puts("sharding: off (queries run against unsharded storage)");
-    return;
-  }
-  std::printf("sharding: %d shards, %s policy, %zu crossing edges, %zu "
-              "bytes\n",
-              sharded->shards(), shard::ShardPolicyName(sharded->policy()),
-              sharded->crossing_edges(), sharded->total_bytes());
-  for (int k = 0; k < sharded->shards(); ++k) {
-    const shard::Shard& s = sharded->shard(k);
-    size_t edges = 0;
-    size_t crossing = 0;
-    for (const auto& [label, runs] : s.labels) {
-      edges += runs.forward.size();
-      crossing += runs.crossing.size();
-    }
-    std::printf("  shard %d: %zu edges (%zu crossing, %zu labels)\n", k,
-                edges, crossing, s.labels.size());
-  }
-}
-
 void DoFaults(const std::string& rest) {
   FaultInjector& injector = FaultInjector::Global();
   if (rest.empty()) {
@@ -402,7 +346,7 @@ void DoFaults(const std::string& rest) {
     std::puts(
         "malformed spec; expected point=kind[:every_n],... with points\n"
         "parse|rewrite|plan|execute|snapshot-build|catalog-build|\n"
-        "stats-build|csr-build|mem|delta-merge|shard-exchange and kinds\n"
+        "stats-build|csr-build|mem|delta-merge and kinds\n"
         "deadline|alloc|invalidate");
     return;
   }
@@ -470,9 +414,7 @@ int main() {
     } else if (command == "schema") {
       std::fputs(db.schema().ToString().c_str(), stdout);
     } else if (command == "check") {
-      // Pending delta rows included: check the effective graph.
-      ConsistencyReport report =
-          CheckConsistency(*db.MaterializedGraph(), db.schema(), 5);
+      ConsistencyReport report = CheckConsistency(db.graph(), db.schema(), 5);
       if (report.consistent()) {
         std::puts("consistent with the schema");
       } else {
@@ -508,8 +450,6 @@ int main() {
       } else {
         std::printf("%s\n", status.ToString().c_str());
       }
-    } else if (command == "shards") {
-      DoShards(db, rest);
     } else if (command == "stress") {
       DoStress(db, session.options(), rest);
     } else if (command == "faults") {

@@ -69,14 +69,9 @@ if [[ "$run_tsan" -eq 1 ]]; then
     -DGQOPT_BUILD_BENCHES=OFF -DGQOPT_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j "$(nproc)"
   ctest --test-dir build-tsan --output-on-failure \
-    -R '(serving|api|delta_differential|parallel_differential|csr_differential|topk_differential|topk_property|shard_differential|thread_pool)_test'
+    -R '(serving|api|delta_differential|parallel_differential|csr_differential|topk_differential|topk_property|thread_pool)_test'
   GQOPT_DOP=4 ctest --test-dir build-tsan --output-on-failure \
-    -R '(serving|parallel_differential|csr_differential|topk_differential|topk_property|shard_differential|thread_pool)_test'
-  # Sharded matrix: every facade query fans out over 4 shards (and the
-  # closure frontier exchange runs its parallel expansion at dop=4) —
-  # the concurrency surface the shard layer adds.
-  GQOPT_SHARDS=4 GQOPT_DOP=4 ctest --test-dir build-tsan --output-on-failure \
-    -R '(serving|api|delta_differential|shard_differential|topk_differential)_test'
+    -R '(serving|parallel_differential|csr_differential|topk_differential|topk_property|thread_pool)_test'
   echo "TSan tier-1 subset passed (build-tsan/)"
   exit 0
 fi
@@ -127,30 +122,21 @@ GQOPT_PLAN_CACHE=0 ctest --test-dir build --output-on-failure \
 GQOPT_PLAN_CACHE=1 ctest --test-dir build --output-on-failure \
   -R '(api|end_to_end|serving|topk_differential)_test'
 
-# Mutation matrix: the facade suites once more with delta-mode writes as
-# the ambient default (GQOPT_DELTA=1). Tests that pin the legacy
-# rebuild-per-mutation semantics call set_delta_enabled(false)
-# explicitly, which takes precedence over the environment knob.
-GQOPT_DELTA=1 ctest --test-dir build --output-on-failure \
-  -R '(inc|delta_differential|api|end_to_end|topk_differential)_test'
-
-# Sharded matrix: the facade + differential suites with a 4-way
-# partition as the ambient default (every Database partitions its base
-# graph, every session inherits). Results must be bit-identical to all
-# the unsharded runs above — sharding is a layout, never an answer
-# change. The second leg layers the delta overlay on top, so pending
-# rows route to their owning shards under every suite.
-GQOPT_SHARDS=4 ctest --test-dir build --output-on-failure \
-  -R '(api|end_to_end|serving|delta_differential|parallel_differential|topk_differential|shard_differential)_test'
-GQOPT_SHARDS=4 GQOPT_DELTA=1 ctest --test-dir build --output-on-failure \
-  -R '(inc|delta_differential|api|end_to_end|shard_differential)_test'
+# The repo benchmark's own tests (perfbench/): they build the runner
+# against the Database facade and run its correctness gate end to end, so
+# a facade change that breaks the runner fails tier-1. The runner refuses
+# any GQOPT_* variable, so the leg runs with them unset.
+(
+  for knob in $(compgen -v GQOPT_); do unset "$knob"; done
+  python3 perfbench/test_perfbench.py
+)
 
 if [[ "$run_bench" -eq 1 ]]; then
   if [[ -x build/bench_micro ]]; then
     # The interesting subset: evaluation-core primitives with their
     # retained naive counterparts for drift-free before/after ratios.
     ./build/bench_micro \
-      --benchmark_filter='Compose|Closure|SemiJoinSource|Join|MemoizedUnion|PlanEnumeration|PreparedVsCold|ColdPrepare|ServingThroughput|TopK|SortAll|MixedReadWrite' \
+      --benchmark_filter='Compose|Closure|SemiJoinSource|Join|MemoizedUnion|PlanEnumeration|PreparedVsCold|ColdPrepare|ServingThroughput|TopK|SortAll' \
       --benchmark_min_time=0.2 \
       --json=BENCH_micro.json
     # A run that silently produced no snapshot (or a truncated one) must
