@@ -225,9 +225,9 @@ BENCHMARK(BM_ExecHashJoin)->Arg(10000)->Arg(30000);
 void BM_SeedHashJoin(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   PropertyGraph graph = RandomJoinGraph(n, n * 4);
-  Catalog catalog(graph);
-  const auto& e1 = catalog.EdgeTable("e1").pairs();  // (x, y)
-  const auto& e2 = catalog.EdgeTable("e2").pairs();  // (y, z)
+  graph.Finalize();
+  const auto& e1 = graph.EdgesByLabel("e1");  // (x, y)
+  const auto& e2 = graph.EdgesByLabel("e2");  // (y, z)
   for (auto _ : state) {
     std::unordered_map<uint64_t, std::vector<uint32_t>> index;
     index.reserve(e1.size() * 2);
@@ -254,9 +254,9 @@ BENCHMARK(BM_SeedHashJoin)->Arg(10000)->Arg(30000);
 void BM_FlatHashJoin(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   PropertyGraph graph = RandomJoinGraph(n, n * 4);
-  Catalog catalog(graph);
-  const auto& e1 = catalog.EdgeTable("e1").pairs();
-  const auto& e2 = catalog.EdgeTable("e2").pairs();
+  graph.Finalize();
+  const auto& e1 = graph.EdgesByLabel("e1");
+  const auto& e2 = graph.EdgesByLabel("e2");
   for (auto _ : state) {
     std::vector<uint64_t> keys(e1.size());
     for (size_t r = 0; r < e1.size(); ++r) keys[r] = e1[r].second;
@@ -280,11 +280,12 @@ BENCHMARK(BM_FlatHashJoin)->Arg(10000)->Arg(30000);
 void BM_OffsetJoin(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   PropertyGraph graph = RandomJoinGraph(n, n * 4);
-  Catalog catalog(graph);
-  const auto& e1 = catalog.EdgeTable("e1").pairs();
-  const auto& e2 = catalog.EdgeTable("e2").pairs();
+  graph.Finalize();
+  const auto& e1 = graph.EdgesByLabel("e1");
+  const auto& e2 = graph.EdgesByLabel("e2");
+  std::shared_ptr<const CsrView> e2_csr = graph.ForwardCsr("e2");
   for (auto _ : state) {
-    const CsrView& csr = catalog.EdgeTable("e2").SourceCsr();
+    const CsrView& csr = *e2_csr;
     std::vector<NodeId> out;
     for (size_t p = 0; p < e1.size(); ++p) {
       auto [lo, hi] = csr.Range(e1[p].second);
@@ -618,8 +619,9 @@ BENCHMARK(BM_ExecSeededClosure)->Arg(1024)->Arg(4096);
 void BM_NaiveSeededClosure(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   PropertyGraph graph = RandomJoinGraph(n, n * 2);
-  Catalog catalog(graph);
-  const BinaryRelation& base = catalog.EdgeTable("e1");
+  graph.Finalize();
+  BinaryRelation base = BinaryRelation::FromSortedUnique(
+      graph.EdgesByLabel("e1"), graph.ForwardCsr("e1"));
   std::vector<NodeId> seeds = graph.NodesWithLabel("SEED");
   for (auto _ : state) {
     benchmark::DoNotOptimize(naive::SeededClosure(base, seeds, true));

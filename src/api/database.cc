@@ -48,13 +48,10 @@ std::string StaleMessage(const char* prefix, uint64_t now, uint64_t then,
 /// sessions with different planning knobs never share a plan.
 std::string PlanFingerprint(const ExecOptions& options) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf),
-                "r%d p%d jr%d fs%d dop%d pb%lld ss%d lm%d|",
+  std::snprintf(buf, sizeof(buf), "r%d p%d fs%d dop%d ss%d lm%d|",
                 options.apply_schema_rewrite ? 1 : 0,
                 static_cast<int>(options.planner),
-                options.enable_join_reorder ? 1 : 0,
                 options.enable_fixpoint_seeding ? 1 : 0, options.dop,
-                static_cast<long long>(options.planning_budget_ms),
                 options.allow_stale_statistics ? 1 : 0,
                 options.low_memory ? 1 : 0);
   return buf;
@@ -336,19 +333,6 @@ SnapshotPtr Database::StaleOkSnapshot(bool* served_stale) const {
   return BuildSnapshotLocked();
 }
 
-void Database::EnsureBaseLocked() const {
-  if (base_graph_ == nullptr) {
-    // Freeze the master into the shared base copy — once per compaction
-    // cycle, never per query or per write. The master stays in place so
-    // graph() references survive every snapshot swap. Finalizing it
-    // first sorts the rows written since the last freeze once, for the
-    // master and the copy, before any reader or delta append sees them.
-    graph_.Finalize();
-    base_graph_ = std::make_shared<const PropertyGraph>(graph_);
-    base_catalog_.reset();
-  }
-}
-
 SnapshotPtr Database::BuildSnapshotLocked() const {
   // Double-checked: a racing reader may have published while this thread
   // waited on state_mu_.
@@ -359,7 +343,16 @@ SnapshotPtr Database::BuildSnapshotLocked() const {
   if (FaultHit(FaultPoint::kSnapshotBuild) == FaultKind::kAlloc) {
     throw std::bad_alloc();
   }
-  EnsureBaseLocked();
+  if (base_graph_ == nullptr) {
+    // Freeze the master into the shared base copy — once per compaction
+    // cycle, never per query or per write. The master stays in place so
+    // graph() references survive every snapshot swap. Finalizing it
+    // first sorts the rows written since the last freeze once, for the
+    // master and the copy, before any reader or delta append sees them.
+    graph_.Finalize();
+    base_graph_ = std::make_shared<const PropertyGraph>(graph_);
+    base_catalog_.reset();
+  }
   if (base_catalog_ == nullptr) {
     base_catalog_ = std::make_shared<const Catalog>(*base_graph_);
   }
@@ -417,15 +410,19 @@ void Database::Use(GraphSchema schema, PropertyGraph graph) {
   cache_.Invalidate();
 }
 
-// Each accepted row lands twice: in the delta, which readers overlay on
-// the frozen base, and in the master, so graph() shows it at once. The
-// base is frozen before the first pending row, so it never holds one.
+// Each accepted row lands in the master, so graph() shows it at once.
+// While a frozen base exists (a snapshot may share it), the row also
+// lands in the delta, which readers overlay on that base. With no base
+// frozen — a fresh Database, or after a compaction — there is nothing to
+// overlay: the row goes to the master only, and the next snapshot
+// freezes the master with it. Bulk loads thus skip the delta and the
+// re-freeze that every auto-compaction would otherwise force.
 NodeId Database::AddNode(std::string_view label,
                          std::vector<Property> properties) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  EnsureBaseLocked();
-  NodeId id = delta_.AddNode(*base_graph_, label, properties);
-  graph_.AddNode(label, std::move(properties));
+  if (base_graph_ != nullptr) delta_.AddNode(*base_graph_, label, properties);
+  // A delta append assigned this same id (base nodes + pending position).
+  NodeId id = graph_.AddNode(label, std::move(properties));
   WroteLocked();
   return id;
 }
@@ -433,13 +430,16 @@ NodeId Database::AddNode(std::string_view label,
 Status Database::AddEdge(NodeId source, std::string_view label,
                          NodeId target) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  EnsureBaseLocked();
-  size_t before = delta_.pending_rows();
-  GQOPT_RETURN_NOT_OK(delta_.AddEdge(*base_graph_, source, label, target));
-  // A duplicate append changes nothing — keep the publication.
-  if (delta_.pending_rows() == before) return Status::OK();
-  // The delta just checked the endpoints against the same node count.
-  (void)graph_.AddEdge(source, label, target);
+  if (base_graph_ == nullptr) {
+    GQOPT_RETURN_NOT_OK(graph_.AddEdge(source, label, target));
+  } else {
+    size_t before = delta_.pending_rows();
+    GQOPT_RETURN_NOT_OK(delta_.AddEdge(*base_graph_, source, label, target));
+    // A duplicate append changes nothing — keep the publication.
+    if (delta_.pending_rows() == before) return Status::OK();
+    // The delta just checked the endpoints against the same node count.
+    (void)graph_.AddEdge(source, label, target);
+  }
   WroteLocked();
   return Status::OK();
 }

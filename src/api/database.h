@@ -276,12 +276,14 @@ using PreparedQueryPtr = std::shared_ptr<const PreparedQuery>;
 /// concurrent pipelines should hold a snapshot() or a PreparedQuery
 /// instead.
 ///
-/// Writes: AddNode/AddEdge append to a side buffer (src/inc) and go
-/// through to the master graph. Published snapshots read a frozen copy
-/// of the master taken before the first pending row, with the sealed
-/// pending rows overlaid; cached plans keep serving (drift-checked). Once
-/// the buffer exceeds GQOPT_DELTA_MERGE_ROWS rows, or on Compact(), it
-/// clears and the next snapshot re-freezes the master.
+/// Writes: AddNode/AddEdge append to the master graph. Published
+/// snapshots read a frozen copy of the master, taken by the first
+/// snapshot after construction or compaction; while that copy exists,
+/// writes also append to a side buffer (src/inc) whose sealed rows the
+/// snapshots overlay, and cached plans keep serving (drift-checked).
+/// Once the buffer exceeds GQOPT_DELTA_MERGE_ROWS rows, or on Compact(),
+/// it clears and the next snapshot re-freezes the master. Writes made
+/// while no copy is frozen (bulk loads) skip the buffer.
 class Database {
  public:
   /// An empty database (no schema, no nodes) — populate with Use() or the
@@ -344,12 +346,12 @@ class Database {
   /// delta rows (they described the dataset being replaced).
   void Use(GraphSchema schema, PropertyGraph graph);
 
-  /// Graph writes: append to the pending buffer and the master graph,
-  /// retire the publication and bump only the data generation — handles
-  /// and cached plans keep serving — then auto-compact once the buffer
-  /// exceeds the merge threshold (a failed auto-compaction is counted and
-  /// retried later; the write itself still succeeds). A duplicate edge is
-  /// a no-op that returns OK.
+  /// Graph writes: append to the master graph and, while a frozen base
+  /// exists, to the pending buffer; retire the publication and bump only
+  /// the data generation — handles and cached plans keep serving — then
+  /// auto-compact once the buffer exceeds the merge threshold (a failed
+  /// auto-compaction is counted and retried later; the write itself
+  /// still succeeds). A duplicate edge changes no content and returns OK.
   NodeId AddNode(std::string_view label, std::vector<Property> properties = {});
   Status AddEdge(NodeId source, std::string_view label, NodeId target);
 
@@ -444,9 +446,6 @@ class Database {
   /// The tail of an accepted write: DataMutatedLocked, then the
   /// auto-compaction past the merge threshold; caller holds state_mu_.
   void WroteLocked();
-  /// Freezes the master into base_graph_ if not frozen yet; caller holds
-  /// state_mu_.
-  void EnsureBaseLocked() const;
   /// The compaction body (see Compact()); caller holds state_mu_.
   Status CompactLocked();
   /// True when the cached plan's estimated cardinalities still hold

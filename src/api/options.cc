@@ -28,20 +28,15 @@ ExecOptions ExecOptions::FromEnv() {
   if (const char* cache = std::getenv("GQOPT_PLAN_CACHE")) {
     options.use_plan_cache = std::string(cache) != "0";
   }
-  if (const char* prune = std::getenv("GQOPT_TOPK_PRUNING")) {
-    options.topk_closure_pruning = std::string(prune) != "0";
-  }
   options.mem_limit_bytes = ParseByteSize(std::getenv("GQOPT_MEM_LIMIT"));
   return options;
 }
 
 OptimizerOptions ExecOptions::ToOptimizerOptions() const {
   OptimizerOptions options;
-  options.enable_join_reorder = enable_join_reorder;
   options.enable_fixpoint_seeding = enable_fixpoint_seeding;
   options.dop = dop;
   options.planner = planner;
-  options.planning_deadline = Deadline::AfterMillis(planning_budget_ms);
   options.low_memory = low_memory;
   return options;
 }
@@ -52,7 +47,6 @@ ExecContext ExecOptions::MakeExecContext() const {
   ctx.dop = dop;
   ctx.parallel_min_rows = parallel_min_rows;
   ctx.low_memory = low_memory;
-  ctx.topk_pruning = topk_closure_pruning;
   return ctx;
 }
 

@@ -31,8 +31,6 @@ namespace api {
 ///   GQOPT_PLANNER      "greedy" or "dp"               (field planner)
 ///   GQOPT_PLAN_CACHE   "0" disables plan-cache use    (field use_plan_cache)
 ///   GQOPT_MEM_LIMIT    per-query memory budget        (field mem_limit_bytes)
-///   GQOPT_TOPK_PRUNING "0" disables closure top-k pruning
-///                                             (field topk_closure_pruning)
 struct ExecOptions {
   // ---- execution-time knobs ------------------------------------------
   /// Per-execution deadline in milliseconds; <= 0 means no deadline.
@@ -56,22 +54,12 @@ struct ExecOptions {
   /// is also a child of the Database-wide budget (GQOPT_SERVER_MEM_LIMIT),
   /// so an unbounded query still stops at the server ceiling.
   int64_t mem_limit_bytes = 0;
-  /// Allow a TopK over a seeded transitive closure to prune frontier
-  /// entries that cannot beat the current k-th candidate. Execution-time
-  /// only (never changes results or the chosen plan), so it is NOT part
-  /// of the plan-cache fingerprint. FromEnv() reads GQOPT_TOPK_PRUNING
-  /// ("0" disables).
-  bool topk_closure_pruning = true;
 
   // ---- planning-time knobs (part of the plan-cache key) --------------
   /// Join-order planner for join clusters.
   PlannerKind planner = PlannerKind::kDp;
-  /// Optimizer ablations (see OptimizerOptions).
-  bool enable_join_reorder = true;
+  /// Optimizer ablation (see OptimizerOptions).
   bool enable_fixpoint_seeding = true;
-  /// Planning-time budget in milliseconds; 0 = unbounded. On expiry the
-  /// DP enumerator falls back to the greedy pass mid-plan.
-  int64_t planning_budget_ms = 0;
   /// Apply the schema-based rewrite during Prepare. The measurement
   /// helpers disable this to run a caller-supplied query verbatim.
   bool apply_schema_rewrite = true;

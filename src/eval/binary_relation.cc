@@ -5,18 +5,10 @@
 #include <mutex>
 #include <new>
 
-#include "eval/closure_expand.h"
 #include "util/fault_injection.h"
-#include "util/flat_hash.h"
 
 namespace gqopt {
 namespace {
-
-// Hard cap on materialized pairs per operation (~128 MB of Edge storage).
-// Queries whose intermediate results exceed it fail with ResourceExhausted,
-// which the benchmark harness counts as infeasible — the in-memory analogue
-// of the paper's 30-minute timeout.
-constexpr size_t kMaxPairs = size_t{1} << 24;
 
 // Largest node id for which SemiJoinTarget builds a membership bitmap;
 // beyond it (sparse ids) the per-pair binary search is used instead.
@@ -202,96 +194,6 @@ BinaryRelation BinaryRelation::Reverse() const {
 Result<BinaryRelation> BinaryRelation::TransitiveClosure(
     const BinaryRelation& r, const Deadline& deadline) {
   return TransitiveClosure(r, ExecContext{deadline});
-}
-
-Result<BinaryRelation> BinaryRelation::TransitiveClosure(
-    const BinaryRelation& r, const ExecContext& ctx) {
-  const Deadline& deadline = ctx.deadline;
-  if (r.empty()) return r;
-  const std::vector<Edge>& base = r.pairs_;
-  // Force the lazy CSR build before any parallel round: EqualRange from
-  // several threads must only ever read an already-built index.
-  r.SourceCsr();
-
-  // Semi-naive iteration with a dedup set: each candidate pair costs one
-  // bitmap test-and-set (dense id domains) or flat hash insert instead of
-  // a full sort + Difference + Union re-merge of the accumulator per
-  // round.
-  NodeId max_target = 0;
-  for (const Edge& e : base) max_target = std::max(max_target, e.second);
-  PairDedupSet seen(static_cast<uint64_t>(base.back().first) + 1,
-                    static_cast<uint64_t>(max_target) + 1, r.size() * 4,
-                    ctx.mem);
-  std::vector<Edge> acc = base;
-  for (const Edge& e : acc) seen.Insert(e.first, e.second);
-  std::vector<Edge> delta = base;
-  std::vector<Edge> next;
-  // Charges the accumulator/frontier buffers against the query budget,
-  // re-measured once per round (they only grow).
-  GrowthCharge mem_charge(ctx.mem);
-  DeadlinePoller poll(deadline);
-  while (!delta.empty()) {
-    if (deadline.Expired() || ctx.MemBreached()) {
-      return AbortStatus(ctx, "transitive closure");
-    }
-    next.clear();
-    bool round_done = false;
-    if (ctx.EffectiveDop(delta.size()) > 1) {
-      // Parallel frontier expansion: generation + Contains pre-filter fan
-      // out per delta morsel, the dedup Insert stays serial (see
-      // closure_expand.h for why this is bit-identical to the loop
-      // below). A false result means the round's candidate buffers grew
-      // past the memory bound — redo the round serially below.
-      Result<bool> round = ExpandRoundParallel(
-          delta,
-          [&r, &base, &seen](const Edge& e, DeadlinePoller& gen_poll,
-                             std::vector<Edge>* out) {
-            auto [lo, hi] = r.EqualRange(e.second);
-            for (uint32_t i = lo; i < hi; ++i) {
-              NodeId z = base[i].second;
-              if (!seen.Contains(e.first, z)) out->emplace_back(e.first, z);
-              if (gen_poll.Expired()) return false;
-            }
-            return true;
-          },
-          ctx, &seen, &next, acc.size(), kMaxPairs, "transitive closure");
-      if (!round.ok()) return round.status();
-      round_done = *round;
-    }
-    if (!round_done) {
-      for (const Edge& e : delta) {
-        auto [lo, hi] = r.EqualRange(e.second);
-        for (uint32_t i = lo; i < hi; ++i) {
-          NodeId z = base[i].second;
-          if (seen.Insert(e.first, z)) next.emplace_back(e.first, z);
-          if (poll.Due()) {
-            if (deadline.Expired() || ctx.MemBreached()) {
-              return AbortStatus(ctx, "transitive closure");
-            }
-            if (acc.size() + next.size() > kMaxPairs) {
-              return Status::ResourceExhausted(
-                  "transitive closure exceeded the result cap");
-            }
-          }
-        }
-      }
-    }
-    acc.insert(acc.end(), next.begin(), next.end());
-    if (acc.size() > kMaxPairs) {
-      return Status::ResourceExhausted(
-          "transitive closure exceeded the result cap");
-    }
-    if (!mem_charge.Update(static_cast<size_t>(
-            (acc.capacity() + delta.capacity() + next.capacity()) *
-            sizeof(Edge)))) {
-      return AbortStatus(ctx, "transitive closure");
-    }
-    delta.swap(next);
-  }
-  // The dedup set guarantees uniqueness; one final packed sort restores
-  // order.
-  SortUniquePairs(&acc);
-  return FromSortedUnique(std::move(acc));
 }
 
 BinaryRelation BinaryRelation::SemiJoinSource(

@@ -17,6 +17,12 @@
 
 namespace gqopt {
 
+/// Hard cap on the pairs one relation operation materializes (~128 MB of
+/// Edge storage): compositions and closures whose results exceed it fail
+/// with ResourceExhausted, which the benchmark harness counts as
+/// infeasible — the in-memory analogue of the paper's 30-minute timeout.
+inline constexpr size_t kMaxPairs = size_t{1} << 24;
+
 /// \brief Immutable sorted-unique set of (source, target) node pairs.
 ///
 /// All operations respect set semantics; the mutating builders sort/dedup
@@ -28,10 +34,9 @@ namespace gqopt {
 /// Threading: const access (including the lazy SourceCsr build) is safe
 /// from any number of threads — the index is published through an atomic
 /// pointer with the build serialized behind a mutex, so concurrent
-/// first-touch scans of a shared relation (e.g. the snapshot catalog's
-/// edge tables) race-freely build it once. Copying FROM a shared relation
-/// is likewise safe; the copy/move *target* must be exclusively owned, as
-/// usual for assignment.
+/// first-touch lookups in a shared relation race-freely build it once.
+/// Copying FROM a shared relation is likewise safe; the copy/move *target*
+/// must be exclusively owned, as usual for assignment.
 class BinaryRelation {
  public:
   BinaryRelation() = default;
@@ -79,10 +84,11 @@ class BinaryRelation {
   /// {(y,x) | (x,y) in this}.
   BinaryRelation Reverse() const;
 
-  /// Transitive closure via semi-naive (delta) iteration. The deadline
-  /// form runs at the ambient GQOPT_DOP; pass an ExecContext to control
-  /// the per-round frontier-expansion parallelism explicitly. Results are
-  /// bit-identical at every dop.
+  /// Transitive closure via the semi-naive kernel of eval/closure.h
+  /// (defined in eval/closure.cc, next to it). The deadline form runs at
+  /// the ambient GQOPT_DOP; pass an ExecContext to control the per-round
+  /// frontier-expansion parallelism explicitly. Results are bit-identical
+  /// at every dop.
   static Result<BinaryRelation> TransitiveClosure(
       const BinaryRelation& r, const Deadline& deadline = {});
   static Result<BinaryRelation> TransitiveClosure(const BinaryRelation& r,

@@ -3,12 +3,12 @@
 // kept as sorted per-label runs so the rest of the stack can overlay
 // them onto the base adjacency without re-sorting anything.
 //
-// The flow: every Database write appends here and goes through to the
-// master graph; the base that published snapshots share is a frozen copy
-// of the master taken before the first pending row. Each publication
-// seals the current pending state into an immutable SealedDelta, and
-// readers execute against base + seal through the overlay Catalog
-// (ra/catalog.h). When the delta exceeds GQOPT_DELTA_MERGE_ROWS (or on
+// The flow: while published snapshots share a frozen copy of the master
+// (the base), every Database write appends here and goes through to the
+// master graph; with no base frozen, writes go to the master alone.
+// Each publication seals the current pending state into an immutable
+// SealedDelta, and readers execute against base + seal through the
+// overlay Catalog (ra/catalog.h). When the delta exceeds GQOPT_DELTA_MERGE_ROWS (or on
 // an explicit Compact()) the buffer clears and the next publication
 // re-freezes the master, which already holds every row. A reader always
 // sees either a seal or a re-frozen base — never a partially merged
@@ -53,7 +53,10 @@ struct EdgeRun {
 };
 
 /// Counters the CLI `stats` command and the tests observe. A consistent
-/// snapshot under the Database state mutex.
+/// snapshot under the Database state mutex. They count only rows written
+/// while a snapshot shares the base: writes made while no base is frozen
+/// (a fresh Database, or after a compaction) go to the master graph
+/// alone and never reach the delta.
 struct DeltaStats {
   size_t pending_nodes = 0;
   size_t pending_edges = 0;
@@ -74,9 +77,6 @@ struct DeltaStats {
 ///
 /// Deeply immutable after construction, shared by any number of reader
 /// threads (the overlay Catalog and statistics hold one per snapshot).
-/// Within one base lifetime seals only grow: a later seal's per-label
-/// runs are supersets of an earlier seal's, which is what lets the
-/// incremental closure extend from the previous seal's fixpoint.
 class SealedDelta {
  public:
   SealedDelta(size_t base_nodes, std::vector<PendingNode> nodes,
@@ -116,9 +116,6 @@ class SealedDelta {
     return it == edges_.end() ? kNoEdges : it->second.reverse;
   }
 
-  bool TouchesEdgeLabel(const std::string& label) const {
-    return edges_.find(label) != edges_.end();
-  }
   bool TouchesNodeLabel(const std::string& label) const {
     return nodes_by_label_.find(label) != nodes_by_label_.end();
   }

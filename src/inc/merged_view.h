@@ -59,18 +59,6 @@ struct MergedEdgeRun {
       if (!fn(b[j])) return;
     }
   }
-
-  /// The union materialized (sorted unique) — for consumers that need a
-  /// contiguous vector (merged edge tables, closure adjacency).
-  std::vector<Edge> Materialize() const {
-    std::vector<Edge> out;
-    out.reserve(size());
-    Scan([&out](const Edge& e) {
-      out.push_back(e);
-      return true;
-    });
-    return out;
-  }
 };
 
 }  // namespace inc

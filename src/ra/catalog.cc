@@ -4,7 +4,6 @@
 #include <mutex>
 #include <new>
 
-#include "inc/closure_delta.h"
 #include "util/fault_injection.h"
 
 namespace gqopt {
@@ -16,57 +15,12 @@ Catalog::Catalog(const PropertyGraph& graph)
 
 Catalog::Catalog(const Catalog* base, inc::SealedDeltaPtr delta)
     : graph_(base->graph_),
-      base_(base),
       delta_(std::move(delta)),
       stats_(graph_, &base->stats_, delta_.get()) {}
 
-const BinaryRelation& Catalog::EdgeTable(const std::string& label) const {
-  // Overlay, untouched label: the base table IS the merged table; share
-  // the base cache (valid for this catalog's lifetime — the snapshot
-  // keeps the base alive).
-  if (base_ != nullptr && !delta_->TouchesEdgeLabel(label)) {
-    return base_->EdgeTable(label);
-  }
-  // Double-checked under a reader/writer lock: warmed labels (the steady
-  // state) take the shared side only. unordered_map references survive
-  // rehashes, so a returned table stays valid while writers insert.
-  {
-    std::shared_lock<std::shared_mutex> lock(edge_mu_);
-    auto it = edge_cache_.find(label);
-    if (it != edge_cache_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(edge_mu_);
-  auto it = edge_cache_.find(label);
-  if (it == edge_cache_.end()) {
-    if (FaultHit(FaultPoint::kCatalogBuild) == FaultKind::kAlloc) {
-      throw std::bad_alloc();
-    }
-    if (base_ != nullptr) {
-      // Materialize the base ∪ delta union (sorted unique by
-      // construction); the CSR builds lazily on first composition.
-      inc::MergedEdgeRun run{&graph_.EdgesByLabel(label),
-                             &delta_->ForwardRun(label)};
-      it = edge_cache_
-               .emplace(label,
-                        BinaryRelation::FromSortedUnique(run.Materialize()))
-               .first;
-    } else {
-      // Adopt the graph's cached CSR alongside the pair copy so
-      // downstream compositions never rebuild the per-label index.
-      it = edge_cache_
-               .emplace(label, BinaryRelation::FromSortedUnique(
-                                   graph_.EdgesByLabel(label),
-                                   graph_.ForwardCsr(label)))
-               .first;
-    }
-  }
-  return it->second;
-}
-
 inc::MergedEdgeRun Catalog::EdgeView(const std::string& label) const {
-  // Scans bypass the materialized edge-table cache, so the view itself
-  // carries the catalog-build fault coverage (typed failure at the
-  // facade, same as an EdgeTable build).
+  // The view is where a scan first touches the catalog, so it carries
+  // the catalog-build fault coverage (typed failure at the facade).
   if (FaultHit(FaultPoint::kCatalogBuild) == FaultKind::kAlloc) {
     throw std::bad_alloc();
   }
@@ -112,56 +66,6 @@ std::vector<NodeId> Catalog::NodeExtentUnion(
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-Result<std::shared_ptr<const BinaryRelation>> Catalog::TransitiveClosureFor(
-    const std::string& label, const ExecContext& ctx) const {
-  // Overlay only; the fixpoint cache lives in the base catalog so it
-  // survives snapshot churn between compactions.
-  const Catalog& owner = *base_;
-  ClosureEntry prior;
-  {
-    std::lock_guard<std::mutex> lock(owner.closure_mu_);
-    auto it = owner.closure_cache_.find(label);
-    if (it != owner.closure_cache_.end()) {
-      if (it->second.seal == delta_) return it->second.closure;
-      prior = it->second;
-    }
-  }
-  // Compute outside the lock (closure work can be long and parallel);
-  // concurrent extenders for the same label duplicate work but agree on
-  // the canonical result, and the last store wins.
-  const BinaryRelation& merged = EdgeTable(label);
-  std::shared_ptr<const BinaryRelation> result;
-  if (prior.closure != nullptr) {
-    // Seals only grow within one base lifetime, so the current run is a
-    // superset of the one the cached fixpoint covered; extend by the
-    // difference.
-    const std::vector<Edge>& cur_run = delta_->ForwardRun(label);
-    const std::vector<Edge>& old_run = prior.seal != nullptr
-                                           ? prior.seal->ForwardRun(label)
-                                           : inc::SealedDelta::kNoEdges;
-    std::vector<Edge> new_edges;
-    new_edges.reserve(cur_run.size() - std::min(old_run.size(),
-                                                cur_run.size()));
-    std::set_difference(cur_run.begin(), cur_run.end(), old_run.begin(),
-                        old_run.end(), std::back_inserter(new_edges));
-    Result<BinaryRelation> extended = inc::ExtendTransitiveClosure(
-        *prior.closure, new_edges, merged, ctx);
-    if (!extended.ok()) return extended.status();
-    result = std::make_shared<const BinaryRelation>(
-        std::move(extended).value());
-  } else {
-    Result<BinaryRelation> full =
-        BinaryRelation::TransitiveClosure(merged, ctx);
-    if (!full.ok()) return full.status();
-    result = std::make_shared<const BinaryRelation>(std::move(full).value());
-  }
-  {
-    std::lock_guard<std::mutex> lock(owner.closure_mu_);
-    owner.closure_cache_[label] = ClosureEntry{result, delta_};
-  }
-  return result;
 }
 
 }  // namespace gqopt

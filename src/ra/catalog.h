@@ -5,30 +5,23 @@
 // Two forms share this class. The *base* catalog wraps one finalized
 // PropertyGraph. The *overlay* catalog wraps a base catalog plus a
 // SealedDelta (src/inc): scans read the union of the base adjacency and
-// the pending delta runs through MergedEdgeRun views, node extents and
-// statistics account for the pending rows, and transitive closures are
-// maintained incrementally — the base catalog keeps a per-label closure
-// cache tagged with the seal it was computed at, and an overlay extends
-// the cached fixpoint by the edges its seal added instead of recomputing
-// (inc/closure_delta.h). The cache dies with the base at compaction,
-// which is exactly when the extension baseline becomes the new base.
+// the pending delta runs through MergedEdgeRun views, and node extents
+// and statistics account for the pending rows. Nothing derived from the
+// edges is cached across executions: every closure is computed from the
+// scanned pairs (eval/closure.h).
 
 #ifndef GQOPT_RA_CATALOG_H_
 #define GQOPT_RA_CATALOG_H_
 
-#include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "eval/binary_relation.h"
 #include "graph/property_graph.h"
 #include "inc/delta_store.h"
 #include "inc/merged_view.h"
 #include "stats/graph_stats.h"
-#include "util/exec_context.h"
 
 namespace gqopt {
 
@@ -36,12 +29,12 @@ namespace gqopt {
 /// a PropertyGraph plus pending delta (overlay form).
 ///
 /// Safe for concurrent const access over a finalized graph: the lazy
-/// per-label edge-table cache builds behind a reader/writer lock (cache
-/// hits take the shared side), and the embedded GraphStatistics guards its
-/// own caches the same way. References returned by EdgeTable/stats stay
-/// valid for the Catalog's lifetime (node-based map, never erased). An
-/// overlay's `base` and `delta` must outlive it (the api::Snapshot owns
-/// all three).
+/// per-label node-extent cache (overlay only) builds behind a
+/// reader/writer lock (cache hits take the shared side), and the embedded
+/// GraphStatistics guards its own caches the same way. References
+/// returned by NodeExtent/stats stay valid for the Catalog's lifetime
+/// (node-based map, never erased). An overlay's `base` and `delta` must
+/// outlive it (the api::Snapshot owns all three).
 class Catalog {
  public:
   explicit Catalog(const PropertyGraph& graph);
@@ -51,16 +44,9 @@ class Catalog {
 
   const PropertyGraph& graph() const { return graph_; }
 
-  bool is_overlay() const { return base_ != nullptr; }
-
-  /// Edge table as a sorted pair set (empty for unknown labels). In the
-  /// overlay this is the materialized base ∪ delta union — prefer
-  /// EdgeView for scans, which needs no materialization.
-  const BinaryRelation& EdgeTable(const std::string& label) const;
-
   /// Zero-copy scan view of `label`'s edges: the base run plus (overlay
   /// only) the pending delta run, iterated as one sorted union. Probes
-  /// the catalog-build fault point like EdgeTable does.
+  /// the catalog-build fault point.
   inc::MergedEdgeRun EdgeView(const std::string& label) const;
 
   /// Node extent, sorted ascending (empty for unknown labels). Overlay:
@@ -82,16 +68,6 @@ class Catalog {
            (delta_ != nullptr ? delta_->nodes().size() : 0);
   }
 
-  /// Transitive closure of `label`'s (merged) edge table, maintained
-  /// incrementally across seals: the base catalog caches the last
-  /// computed fixpoint per label together with the seal it covered, and
-  /// this call extends it by the edges the current seal added
-  /// (bit-identical to a full recompute — inc/closure_delta.h). Overlay
-  /// only. Deadline/memory/cap failures carry the same typed statuses as
-  /// BinaryRelation::TransitiveClosure and are never cached.
-  Result<std::shared_ptr<const BinaryRelation>> TransitiveClosureFor(
-      const std::string& label, const ExecContext& ctx) const;
-
   /// The statistics catalog (src/stats): per-label cardinality and
   /// degree statistics plus schema-derived bounds, collected lazily and
   /// cached for the lifetime of this Catalog. The Estimator and the DP
@@ -101,22 +77,11 @@ class Catalog {
 
  private:
   const PropertyGraph& graph_;
-  const Catalog* base_ = nullptr;      // overlay form only
-  inc::SealedDeltaPtr delta_;          // overlay form only
+  inc::SealedDeltaPtr delta_;  // overlay form only
   GraphStatistics stats_;
-  mutable std::shared_mutex edge_mu_;
-  mutable std::unordered_map<std::string, BinaryRelation> edge_cache_;
   // Overlay node extents materialized on demand (touched labels only).
   mutable std::shared_mutex extent_mu_;
   mutable std::unordered_map<std::string, std::vector<NodeId>> extent_cache_;
-  // Per-label closure fixpoints, owned by the BASE catalog and tagged
-  // with the seal they cover; overlays extend them via closure_mu_.
-  struct ClosureEntry {
-    std::shared_ptr<const BinaryRelation> closure;
-    inc::SealedDeltaPtr seal;  // null = computed over the bare base
-  };
-  mutable std::mutex closure_mu_;
-  mutable std::unordered_map<std::string, ClosureEntry> closure_cache_;
 };
 
 }  // namespace gqopt

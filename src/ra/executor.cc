@@ -4,7 +4,7 @@
 #include <limits>
 #include <numeric>
 
-#include "eval/closure_expand.h"
+#include "eval/closure.h"
 #include "eval/csr_view.h"
 #include "util/flat_hash.h"
 #include "util/offsets.h"
@@ -13,9 +13,6 @@
 
 namespace gqopt {
 namespace {
-
-// Cap on materialized closure pairs, mirroring BinaryRelation's limit.
-constexpr size_t kMaxClosurePairs = size_t{1} << 24;
 
 uint64_t PackKey(const NodeId* row, const std::vector<int>& cols) {
   if (cols.size() == 1) return row[cols[0]];
@@ -1054,29 +1051,6 @@ Result<Table> Executor::EvalSemiJoin(const RaExpr* e,
 Result<Table> Executor::EvalClosure(const RaExpr* e, const ExecContext& ctx,
                                     const ClosureTopKBound& bound) {
   const Deadline& deadline = ctx.deadline;
-  // Overlay fast path: an unseeded closure directly over one edge label
-  // reads the incrementally-maintained fixpoint (ra/catalog.h) instead
-  // of recomputing from the scanned pairs. Bit-identical by the
-  // ExtendTransitiveClosure contract; restricted to the un-renamed
-  // forward orientation so the cached relation matches the body exactly.
-  if (catalog_.is_overlay() && e->seed_side() == SeedSide::kNone &&
-      e->left()->op() == RaOp::kEdgeScan &&
-      e->src_col() == e->left()->columns()[0] &&
-      e->tgt_col() == e->left()->columns()[1]) {
-    GQOPT_ASSIGN_OR_RETURN(
-        std::shared_ptr<const BinaryRelation> closure,
-        catalog_.TransitiveClosureFor(e->left()->label(), ctx));
-    std::vector<NodeId> data;
-    data.reserve(closure->size() * 2);
-    for (const Edge& pair : closure->pairs()) {
-      data.push_back(pair.first);
-      data.push_back(pair.second);
-    }
-    Table out =
-        Table::FromData({e->src_col(), e->tgt_col()}, std::move(data));
-    out.MarkSorted();
-    return out;
-  }
   GQOPT_ASSIGN_OR_RETURN(Table body, Eval(e->left().get(), ctx));
   int src = body.ColumnIndex(e->src_col());
   int tgt = body.ColumnIndex(e->tgt_col());
@@ -1108,8 +1082,8 @@ Result<Table> Executor::EvalClosure(const RaExpr* e, const ExecContext& ctx,
     std::sort(seeds.begin(), seeds.end());
     seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
     GQOPT_ASSIGN_OR_RETURN(
-        acc, SeededClosure(base, seeds,
-                           e->seed_side() == SeedSide::kSource, ctx, bound));
+        acc, SeededClosure(base, seeds, e->seed_side() == SeedSide::kSource,
+                           ctx, bound, &topk_pruned_frontier_));
   }
 
   std::vector<NodeId> data;
@@ -1121,189 +1095,6 @@ Result<Table> Executor::EvalClosure(const RaExpr* e, const ExecContext& ctx,
   Table out = Table::FromData({e->src_col(), e->tgt_col()}, std::move(data));
   out.MarkSorted();  // closure results are sorted pair sets
   return out;
-}
-
-Result<BinaryRelation> Executor::SeededClosure(const BinaryRelation& base,
-                                               const std::vector<NodeId>& seeds,
-                                               bool seed_source,
-                                               const ExecContext& ctx,
-                                               const ClosureTopKBound& bound) {
-  const Deadline& deadline = ctx.deadline;
-  // Semi-naive expansion from the seeds over a CSR of the (reversed, for
-  // target seeds) base relation, deduplicating each candidate pair with a
-  // flat hash insert instead of re-merging the accumulator every round.
-  BinaryRelation start = seed_source ? base.SemiJoinSource(seeds)
-                                     : base.SemiJoinTarget(seeds);
-  if (start.empty()) return start;
-  BinaryRelation reversed;
-  if (!seed_source) reversed = base.Reverse();
-  const BinaryRelation& adj = seed_source ? base : reversed;
-  const std::vector<Edge>& adj_pairs = adj.pairs();
-  // Force the lazy CSR build before any parallel round: EqualRange from
-  // several threads must only ever read an already-built index.
-  adj.SourceCsr();
-
-  std::vector<Edge> acc = start.pairs();
-  // Dedup domain: sources stay within the start set's sources (source
-  // seeds) or targets within the start set's targets (target seeds);
-  // the other component ranges over the adjacency's targets.
-  NodeId max_x = 0, max_z = 0;
-  for (const Edge& e : acc) max_x = std::max(max_x, e.first);
-  for (const Edge& e : acc) max_z = std::max(max_z, e.second);
-  for (const Edge& e : adj_pairs) {
-    (seed_source ? max_z : max_x) = std::max(
-        seed_source ? max_z : max_x, e.second);
-  }
-  PairDedupSet seen(static_cast<uint64_t>(max_x) + 1,
-                    static_cast<uint64_t>(max_z) + 1, acc.size() * 4,
-                    ctx.mem);
-  for (const Edge& e : acc) seen.Insert(e.first, e.second);
-  std::vector<Edge> delta = acc;
-  std::vector<Edge> next;
-
-  // ---- Top-k frontier prune -----------------------------------------------
-  // Expansion preserves the fixed-side component (source seeds extend
-  // (x,y) to (x,z); target seeds extend (x,y) to (w,y)), so once k result
-  // pairs exist, any pair whose fixed value sorts strictly after the k-th
-  // best fixed value — and every pair reachable from it — is outside the
-  // top k under a leading key on the fixed column. Track the k best fixed
-  // values (duplicates count: the bound is the k-th ROW's key) in a
-  // worst-on-top heap; drop frontier entries and fresh candidates that
-  // sort strictly past its top. Ties are kept, so results are exact.
-  const bool prune = bound.k > 0;
-  std::vector<NodeId> best;  // worst-on-top heap, size <= bound.k
-  auto fixed_of = [seed_source](const Edge& p) {
-    return seed_source ? p.first : p.second;
-  };
-  // a strictly before b in key order.
-  auto better = [desc = bound.descending](NodeId a, NodeId b) {
-    return desc ? a > b : a < b;
-  };
-  // std heaps put the comparator's maximum at front; comparing by
-  // `better` makes the front the worst retained value — the bound.
-  auto observe = [&](NodeId v) {
-    if (best.size() < bound.k) {
-      best.push_back(v);
-      std::push_heap(best.begin(), best.end(), better);
-    } else if (better(v, best.front())) {
-      std::pop_heap(best.begin(), best.end(), better);
-      best.back() = v;
-      std::push_heap(best.begin(), best.end(), better);
-    }
-  };
-  auto prunable = [&](NodeId v) {
-    return best.size() == bound.k && better(best.front(), v);
-  };
-  if (prune) {
-    best.reserve(bound.k);
-    for (const Edge& p : acc) observe(fixed_of(p));
-  }
-
-  // Charges the accumulator/frontier buffers against the query budget,
-  // re-measured once per round (they only grow).
-  GrowthCharge mem_charge(ctx.mem);
-  DeadlinePoller poll(deadline);
-  while (!delta.empty()) {
-    if (deadline.Expired() || ctx.MemBreached()) {
-      return AbortStatus(ctx, "seeded closure");
-    }
-    if (prune) {
-      // Pre-filter the frontier against the current bound (it only ever
-      // tightens, so a once-per-round serial pass is race-free at any
-      // dop and keeps the expansion itself unchanged).
-      size_t kept = 0;
-      for (const Edge& d : delta) {
-        if (prunable(fixed_of(d))) continue;
-        delta[kept++] = d;
-      }
-      topk_pruned_frontier_ += delta.size() - kept;
-      delta.resize(kept);
-      if (delta.empty()) break;
-    }
-    next.clear();
-    // Source seeds: extend (x,y) by successors z of y to (x,z).
-    // Target seeds: extend (x,y) by predecessors w of x to (w,y).
-    bool round_done = false;
-    if (ctx.EffectiveDop(delta.size()) > 1) {
-      // Parallel frontier expansion: the per-source CSR walks and
-      // Contains pre-filter fan out per delta morsel, the dedup Insert
-      // stays serial (see closure_expand.h for the bit-identity
-      // argument). A false result means the round's candidate buffers
-      // grew past the memory bound — redo the round serially below.
-      Result<bool> round = ExpandRoundParallel(
-          delta,
-          [&](const Edge& d, DeadlinePoller& gen_poll,
-              std::vector<Edge>* out) {
-            auto [lo, hi] = adj.EqualRange(seed_source ? d.second : d.first);
-            for (uint32_t i = lo; i < hi; ++i) {
-              Edge candidate = seed_source
-                                   ? Edge{d.first, adj_pairs[i].second}
-                                   : Edge{adj_pairs[i].second, d.second};
-              if (!seen.Contains(candidate.first, candidate.second)) {
-                out->push_back(candidate);
-              }
-              if (gen_poll.Expired()) return false;
-            }
-            return true;
-          },
-          ctx, &seen, &next, acc.size(), kMaxClosurePairs, "seeded closure");
-      if (!round.ok()) return round.status();
-      round_done = *round;
-    }
-    if (!round_done) {
-      for (const Edge& d : delta) {
-        auto [lo, hi] = adj.EqualRange(seed_source ? d.second : d.first);
-        for (uint32_t i = lo; i < hi; ++i) {
-          Edge candidate = seed_source
-                               ? Edge{d.first, adj_pairs[i].second}
-                               : Edge{adj_pairs[i].second, d.second};
-          if (seen.Insert(candidate.first, candidate.second)) {
-            next.push_back(candidate);
-          }
-          if (poll.Due()) {
-            if (deadline.Expired() || ctx.MemBreached()) {
-              return AbortStatus(ctx, "seeded closure");
-            }
-            if (acc.size() + next.size() > kMaxClosurePairs) {
-              return Status::ResourceExhausted(
-                  "seeded closure exceeded the result cap");
-            }
-          }
-        }
-      }
-    }
-    if (prune) {
-      // Filter the round's candidates, tightening the bound as survivors
-      // are admitted (serial, in frontier order — deterministic at every
-      // dop because the parallel round reproduces the serial candidate
-      // order). Pruned candidates never re-enter (they are already in
-      // the dedup set) and are excluded from the result — sound because
-      // a bounded evaluation only ever feeds the TopK that set the bound
-      // and is never memoized as the closure's full result.
-      size_t kept = 0;
-      for (const Edge& c : next) {
-        NodeId v = fixed_of(c);
-        if (prunable(v)) continue;
-        observe(v);
-        next[kept++] = c;
-      }
-      topk_pruned_frontier_ += next.size() - kept;
-      next.resize(kept);
-    }
-    acc.insert(acc.end(), next.begin(), next.end());
-    if (acc.size() > kMaxClosurePairs) {
-      return Status::ResourceExhausted(
-          "seeded closure exceeded the result cap");
-    }
-    if (!mem_charge.Update(static_cast<size_t>(
-            (acc.capacity() + delta.capacity() + next.capacity()) *
-            sizeof(Edge)))) {
-      return AbortStatus(ctx, "seeded closure");
-    }
-    delta.swap(next);
-  }
-  SortUniquePairs(&acc);
-  return BinaryRelation::FromSortedUnique(std::move(acc));
 }
 
 namespace {

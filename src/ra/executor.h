@@ -1,6 +1,7 @@
 // Bottom-up RRA plan execution over a Catalog: hash joins, set-semantics
-// distinct, and semi-naive (delta) fixpoint evaluation for transitive
-// closures, optionally seeded from either side (the µ-RA join-pushdown).
+// distinct, and transitive closures, optionally seeded from either side
+// (the µ-RA join-pushdown), through the semi-naive kernel of
+// eval/closure.h.
 
 #ifndef GQOPT_RA_EXECUTOR_H_
 #define GQOPT_RA_EXECUTOR_H_
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "eval/binary_relation.h"
+#include "eval/closure.h"
 #include "ra/catalog.h"
 #include "ra/ra_expr.h"
 #include "ra/table.h"
@@ -64,33 +66,14 @@ class Executor {
   size_t topk_pruned_frontier() const { return topk_pruned_frontier_; }
 
  private:
-  /// Bound for the seeded-closure top-k frontier prune: once `k` result
-  /// pairs are held, frontier entries and candidate pairs whose
-  /// fixed-side component is strictly worse than the current k-th best
-  /// fixed-side value can never enter the top k (expansion preserves the
-  /// fixed component), so they are dropped. `k == 0` disables.
-  struct ClosureTopKBound {
-    ClosureTopKBound() : k(0), descending(false) {}
-    ClosureTopKBound(size_t k_in, bool descending_in)
-        : k(k_in), descending(descending_in) {}
-    size_t k;
-    bool descending;  // direction of the leading TopK key
-  };
-
   Result<Table> Eval(const RaExpr* e, const ExecContext& ctx);
   Result<Table> EvalJoin(const RaExpr* e, const ExecContext& ctx);
   Result<Table> EvalSemiJoin(const RaExpr* e, const ExecContext& ctx);
   Result<Table> EvalClosure(const RaExpr* e, const ExecContext& ctx,
-                            const ClosureTopKBound& bound = ClosureTopKBound());
+                            const ClosureTopKBound& bound = {});
   Result<Table> EvalSort(const RaExpr* e, const ExecContext& ctx);
   Result<Table> EvalLimit(const RaExpr* e, const ExecContext& ctx);
   Result<Table> EvalTopK(const RaExpr* e, const ExecContext& ctx);
-  Result<BinaryRelation> SeededClosure(const BinaryRelation& base,
-                                       const std::vector<NodeId>& seeds,
-                                       bool seed_source,
-                                       const ExecContext& ctx,
-                                       const ClosureTopKBound& bound =
-                                           ClosureTopKBound());
   const std::string& KeyOf(const RaExpr* e);
 
   const Catalog& catalog_;

@@ -157,15 +157,6 @@ class Optimizer {
   RaExprPtr RewriteJoinCluster(const RaExprPtr& e) {
     std::vector<RaExprPtr> conjuncts;
     Flatten(e, &conjuncts);
-    if (!options_.enable_join_reorder) {
-      // Keep the original shape; children were still rewritten by Flatten.
-      RaExprPtr acc = conjuncts[0];
-      for (size_t i = 1; i < conjuncts.size(); ++i) {
-        acc = JoinWithSeeding(std::move(acc), conjuncts[i]);
-      }
-      return acc;
-    }
-
     if (options_.planner == PlannerKind::kDp) {
       RaExprPtr planned = DpRewriteJoinCluster(conjuncts);
       if (planned != nullptr) return planned;

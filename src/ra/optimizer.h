@@ -26,7 +26,6 @@ namespace gqopt {
 
 /// Optimizer switches (ablations).
 struct OptimizerOptions {
-  bool enable_join_reorder = true;
   bool enable_fixpoint_seeding = true;
   /// Degree of parallelism the plan is optimized for: hash joins whose
   /// estimated inputs cross the parallel row threshold are annotated

@@ -220,6 +220,7 @@ TEST(ApiTest, GraphWritesKeepCacheAndHandles) {
 TEST(ApiTest, PendingWritesAreOnTheMasterGraph) {
   Database db(YagoSchema(), GenerateYago({.persons = 40, .seed = 5}));
   db.set_delta_merge_rows(1u << 20);  // keep every write pending
+  db.snapshot();  // shares the frozen base: the writes below stay pending
   Session session(db);
   const size_t nodes_before = db.graph().num_nodes();
   const size_t edges_before = db.graph().num_edges();

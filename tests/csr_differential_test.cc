@@ -272,7 +272,8 @@ TEST(ExecutorDifferentialTest, SeededClosureMatchesNaive) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     PropertyGraph graph = RandomGraph(80, 120, seed + 71);
     Catalog catalog(graph);
-    const BinaryRelation& base = catalog.EdgeTable("e1");
+    BinaryRelation base = BinaryRelation::FromSortedUnique(
+        graph.EdgesByLabel("e1"), graph.ForwardCsr("e1"));
     std::vector<NodeId> seeds = graph.NodesWithLabel("SEED");
     for (SeedSide side : {SeedSide::kSource, SeedSide::kTarget}) {
       RaExprPtr plan = RaExpr::TransitiveClosure(

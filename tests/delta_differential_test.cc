@@ -68,12 +68,14 @@ TEST(DeltaDifferentialTest, OverlayIsBitIdenticalToCompactedExecution) {
   // the batch), queries run base + seal.
   Database overlay(YagoSchema(), GenerateYago({.persons = 60, .seed = 9}));
   overlay.set_delta_merge_rows(1u << 20);
+  overlay.snapshot();  // shares the frozen base: the mutations stay pending
   ApplyMutations(overlay);
   ASSERT_GT(overlay.delta_stats().pending_edges, 0u);
 
   // Compacted database: the same rows merged into the base graph.
   Database compacted(YagoSchema(), GenerateYago({.persons = 60, .seed = 9}));
   compacted.set_delta_merge_rows(1u << 20);
+  compacted.snapshot();  // so the compaction below has rows to fold
   ApplyMutations(compacted);
   ASSERT_TRUE(compacted.Compact().ok());
   ASSERT_EQ(compacted.delta_stats().pending_edges, 0u);

@@ -1,8 +1,7 @@
 // The incremental-maintenance subsystem (src/inc) in isolation: the
 // DeltaStore's id assignment / dedup / seal caching, the two-cursor
-// MergedEdgeRun union, the incremental closure extension against a full
-// recompute, overlay statistics against a recollect over the compacted
-// graph, and the Database-level write path: the master graph and the
+// MergedEdgeRun union, overlay statistics against a recollect over the
+// compacted graph, and the Database-level write path: the master graph and the
 // re-frozen base against a from-scratch build, pending rows on the
 // master, auto-compaction at the threshold and typed kDeltaMerge fault
 // handling with retry.
@@ -16,7 +15,6 @@
 #include "api/database.h"
 #include "eval/binary_relation.h"
 #include "graph/property_graph.h"
-#include "inc/closure_delta.h"
 #include "inc/delta_store.h"
 #include "inc/merged_view.h"
 #include "ra/catalog.h"
@@ -127,59 +125,6 @@ TEST_F(IncTest, MergedEdgeRunScansTheAscendingUnion) {
   });
   EXPECT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[1], (Edge{2, 3}));
-
-  EXPECT_EQ(run.Materialize(), expected);
-}
-
-TEST_F(IncTest, ExtendedClosureMatchesFullRecompute) {
-  Rng rng(47);
-  const size_t kNodes = 120;
-  std::vector<Edge> base_edges, new_edges;
-  for (size_t i = 0; i < 400; ++i) {
-    base_edges.push_back({static_cast<NodeId>(rng.Uniform(kNodes)),
-                          static_cast<NodeId>(rng.Uniform(kNodes))});
-  }
-  for (size_t i = 0; i < 60; ++i) {
-    new_edges.push_back({static_cast<NodeId>(rng.Uniform(kNodes)),
-                         static_cast<NodeId>(rng.Uniform(kNodes))});
-  }
-  BinaryRelation base = BinaryRelation::FromPairs(base_edges);
-  // The delta contract: new edges are sorted-unique and disjoint from
-  // the base run (the DeltaStore enforces this at append time).
-  std::sort(new_edges.begin(), new_edges.end());
-  new_edges.erase(std::unique(new_edges.begin(), new_edges.end()),
-                  new_edges.end());
-  std::vector<Edge> disjoint;
-  std::set_difference(new_edges.begin(), new_edges.end(),
-                      base.pairs().begin(), base.pairs().end(),
-                      std::back_inserter(disjoint));
-  BinaryRelation merged = BinaryRelation::Union(
-      base, BinaryRelation::FromPairs(disjoint));
-
-  ExecContext ctx;
-  auto full = BinaryRelation::TransitiveClosure(merged, ctx);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  auto prior = BinaryRelation::TransitiveClosure(base, ctx);
-  ASSERT_TRUE(prior.ok());
-  auto extended =
-      inc::ExtendTransitiveClosure(*prior, disjoint, merged, ctx);
-  ASSERT_TRUE(extended.ok()) << extended.status().ToString();
-  // Bit-identity, not set equality: the canonical sorted-unique pair
-  // vectors must match element for element.
-  EXPECT_EQ(extended->pairs(), full->pairs());
-
-  // No new edges: the prior fixpoint is returned unchanged.
-  auto unchanged = inc::ExtendTransitiveClosure(*prior, {}, base, ctx);
-  ASSERT_TRUE(unchanged.ok());
-  EXPECT_EQ(unchanged->pairs(), prior->pairs());
-
-  // Empty prior closure (first query after a mutation burst on a fresh
-  // label): extension degenerates to the full fixpoint.
-  BinaryRelation empty;
-  auto from_empty =
-      inc::ExtendTransitiveClosure(empty, merged.pairs(), merged, ctx);
-  ASSERT_TRUE(from_empty.ok());
-  EXPECT_EQ(from_empty->pairs(), full->pairs());
 }
 
 TEST_F(IncTest, OverlayStatisticsMatchCompactedRecollect) {
@@ -275,6 +220,7 @@ TEST_F(IncTest, WrittenGraphMatchesFromScratchBuild) {
   Database db;
   db.Use(GraphSchema(), std::move(loaded));
   db.set_delta_merge_rows(1u << 20);
+  db.snapshot();  // shares the frozen base: the writes below stay pending
   NodeId extra = db.AddNode("M");
   EXPECT_EQ(extra, extra_all);
   for (const Edge& e : second) {
@@ -314,6 +260,7 @@ TEST_F(IncTest, AutoCompactionFiresAtTheThreshold) {
   Database db;
   db.Use(GraphSchema(), SmallBase());
   db.set_delta_merge_rows(3);
+  db.snapshot();  // shares the frozen base: the writes below stay pending
 
   ASSERT_TRUE(db.AddEdge(0, "e", 3).ok());
   NodeId node = db.AddNode("B");
@@ -342,6 +289,7 @@ TEST_F(IncTest, MasterGraphIncludesPendingRows) {
   Database db;
   db.Use(GraphSchema(), SmallBase());
   db.set_delta_merge_rows(1u << 20);
+  db.snapshot();  // shares the frozen base: the writes below stay pending
   const size_t base_nodes = db.graph().num_nodes();
 
   NodeId node = db.AddNode("B");
@@ -378,6 +326,7 @@ TEST_F(IncTest, MasterGraphIncludesPendingRows) {
 TEST_F(IncTest, DeltaMergeFaultLeavesPendingRowsAndRetries) {
   Database db;
   db.Use(GraphSchema(), SmallBase());
+  db.snapshot();  // shares the frozen base: the write below stays pending
   ASSERT_TRUE(db.AddEdge(0, "e", 3).ok());
 
   Session session(db, NoRewrite());
@@ -412,6 +361,7 @@ TEST_F(IncTest, DeltaMergeFaultLeavesPendingRowsAndRetries) {
 TEST_F(IncTest, DeltaMergeDeadlineFaultIsTyped) {
   Database db;
   db.Use(GraphSchema(), SmallBase());
+  db.snapshot();  // shares the frozen base: the write below stays pending
   ASSERT_TRUE(db.AddEdge(2, "e", 0).ok());
   FaultInjector::Global().Arm(FaultPoint::kDeltaMerge, FaultKind::kDeadline);
   Status failed = db.Compact();

@@ -239,52 +239,96 @@ TEST_F(TopKDifferentialTest, WarmMemoMatchesColdExecutor) {
 
 // ---- Seeded-closure frontier prune -----------------------------------------
 
-RaExprPtr SeededClosurePlan() {
-  // SEED-labelled sources reach out over e1*: source-seeded closure with
-  // output (s, t), fixed side s.
-  return RaExpr::TransitiveClosure(RaExpr::EdgeScan("e1", "s", "t"), "s",
-                                   "t", RaExpr::NodeScan({"SEED"}, "s"),
-                                   SeedSide::kSource);
+RaExprPtr SeededClosurePlan(SeedSide side) {
+  // SEED-labelled sources (or targets) reach out over e1*: a closure with
+  // output (s, t) whose fixed side is the seeded column.
+  return RaExpr::TransitiveClosure(
+      RaExpr::EdgeScan("e1", "s", "t"), "s", "t",
+      RaExpr::NodeScan({"SEED"}, side == SeedSide::kSource ? "s" : "t"),
+      side);
+}
+
+// The column a seeded closure's expansion never changes: a TopK leading
+// on it is what lets the frontier prune fire.
+std::string FixedColumn(SeedSide side) {
+  return side == SeedSide::kSource ? "s" : "t";
+}
+
+std::string SideName(SeedSide side) {
+  return side == SeedSide::kSource ? "source" : "target";
 }
 
 TEST_F(TopKDifferentialTest, ClosureTopKPruneIsInvisibleInResults) {
-  RaExprPtr closure = SeededClosurePlan();
-  for (bool descending : {false, true}) {
-    const std::vector<SortKey> keys{{"s", descending}, {"t", !descending}};
-    RaExprPtr topk = RaExpr::TopK(closure, keys, 9);
-
-    ExecContext pruned_ctx = At(1);
-    Executor pruned(catalog_);
-    auto with_prune = pruned.Run(topk, pruned_ctx);
-    ASSERT_TRUE(with_prune.ok()) << with_prune.status().ToString();
-
-    ExecContext unpruned_ctx = At(1);
-    unpruned_ctx.topk_pruning = false;
-    Executor unpruned(catalog_);
-    auto without_prune = unpruned.Run(topk, unpruned_ctx);
-    ASSERT_TRUE(without_prune.ok()) << without_prune.status().ToString();
-
-    EXPECT_EQ(with_prune->data(), without_prune->data())
-        << "descending=" << descending;
-    EXPECT_EQ(unpruned.topk_pruned_frontier(), 0u);
-    // The counter measures work actually skipped; on this graph the
-    // closure has far more than 9 result pairs, so the prune must bite.
-    EXPECT_GT(pruned.topk_pruned_frontier(), 0u)
-        << "descending=" << descending;
-
-    // And the pruned result still equals the naive specification.
+  for (SeedSide side : {SeedSide::kSource, SeedSide::kTarget}) {
+    RaExprPtr closure = SeededClosurePlan(side);
+    const std::string fixed = FixedColumn(side);
+    const std::string other = side == SeedSide::kSource ? "t" : "s";
     Table full = MustRun(catalog_, closure, At(1));
-    EXPECT_EQ(RowsOf(*with_prune), NaiveTopK(full, keys, 9));
+    for (bool descending : {false, true}) {
+      for (size_t offset : {0, 3}) {
+        SCOPED_TRACE("seeds=" + SideName(side) +
+                     " descending=" + std::to_string(descending) +
+                     " offset=" + std::to_string(offset));
+        const std::vector<SortKey> keys{{fixed, descending},
+                                        {other, !descending}};
+        RaExprPtr topk = RaExpr::TopK(closure, keys, 9, offset);
+
+        ExecContext pruned_ctx = At(1);
+        Executor pruned(catalog_);
+        auto with_prune = pruned.Run(topk, pruned_ctx);
+        ASSERT_TRUE(with_prune.ok()) << with_prune.status().ToString();
+
+        ExecContext unpruned_ctx = At(1);
+        unpruned_ctx.topk_pruning = false;
+        Executor unpruned(catalog_);
+        auto without_prune = unpruned.Run(topk, unpruned_ctx);
+        ASSERT_TRUE(without_prune.ok())
+            << without_prune.status().ToString();
+
+        EXPECT_EQ(with_prune->data(), without_prune->data());
+        EXPECT_EQ(unpruned.topk_pruned_frontier(), 0u);
+        // The counter measures work actually skipped; on this graph the
+        // closure has far more than 9 + offset result pairs, so the
+        // prune must bite.
+        EXPECT_GT(pruned.topk_pruned_frontier(), 0u);
+
+        // And the pruned window still equals the naive specification:
+        // rows [offset, offset + 9) of the fully ordered closure.
+        std::vector<std::vector<NodeId>> expected =
+            NaiveTopK(full, keys, 9 + offset);
+        expected.erase(expected.begin(),
+                       expected.begin() + static_cast<long>(std::min(
+                                              offset, expected.size())));
+        EXPECT_EQ(RowsOf(*with_prune), expected);
+      }
+    }
   }
 }
 
 TEST_F(TopKDifferentialTest, ClosureTopKPruneBitIdenticalAcrossDop) {
-  const std::vector<SortKey> keys{{"s", false}};
-  RaExprPtr topk = RaExpr::TopK(SeededClosurePlan(), keys, 6);
-  Table serial = MustRun(catalog_, topk, At(1));
-  for (int dop : {2, 4}) {
-    Table parallel = MustRun(catalog_, topk, At(dop));
-    EXPECT_EQ(serial.data(), parallel.data()) << "dop=" << dop;
+  for (SeedSide side : {SeedSide::kSource, SeedSide::kTarget}) {
+    for (size_t offset : {0, 3}) {
+      SCOPED_TRACE("seeds=" + SideName(side) +
+                   " offset=" + std::to_string(offset));
+      const std::vector<SortKey> keys{{FixedColumn(side), false}};
+      RaExprPtr topk =
+          RaExpr::TopK(SeededClosurePlan(side), keys, 6, offset);
+      Executor serial_executor(catalog_);
+      auto serial = serial_executor.Run(topk, At(1));
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      EXPECT_GT(serial_executor.topk_pruned_frontier(), 0u);
+      for (int dop : {2, 4}) {
+        Executor parallel_executor(catalog_);
+        auto parallel = parallel_executor.Run(topk, At(dop));
+        ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+        EXPECT_EQ(serial->data(), parallel->data()) << "dop=" << dop;
+        // The prune decisions are taken serially between rounds, so the
+        // work skipped is the same at every dop too.
+        EXPECT_EQ(parallel_executor.topk_pruned_frontier(),
+                  serial_executor.topk_pruned_frontier())
+            << "dop=" << dop;
+      }
+    }
   }
 }
 

@@ -17,10 +17,12 @@
 # serving layer's stress/storm tests must come back with zero reported
 # races. It replaces the normal run — do both for a full verification.
 #
-# --asan builds the memory-governance surface under ASan+UBSan (its own
-# build-asan/ tree, benches off) and runs the tracker, budget-enforcement
-# and serving suites: every "resource:" abort path must come back with
-# zero heap misuse or arithmetic UB. Also replaces the normal run.
+# --asan builds under ASan+UBSan (its own build-asan/ tree, benches off)
+# and runs the memory-governance surface — the tracker, budget-enforcement
+# and serving suites, so every "resource:" abort path comes back with zero
+# heap misuse or arithmetic UB — plus the closure suites, so the closure
+# kernel's dedup-set indexing and morsel buffers run under the sanitizers
+# too. Also replaces the normal run.
 #
 # --topk is a fast smoke target: build, then run only the ordering
 # suites (differential + randomized property + parser) across the
@@ -79,14 +81,15 @@ fi
 if [[ "$run_asan" -eq 1 ]]; then
   # The memory-governance surface: the tracker itself, the typed
   # budget-breach paths through the executor/facade, and the serving
-  # storm that exercises admission + degradation under a tight budget.
+  # storm that exercises admission + degradation under a tight budget;
+  # then the closure suites (serial, parallel, overlay and incremental).
   cmake -B build-asan -S . -DGQOPT_SANITIZE=address \
     -DGQOPT_BUILD_BENCHES=OFF -DGQOPT_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j "$(nproc)"
   # topk_differential/topk_property cover the bounded-heap operator's
   # index buffers and the closure frontier prune under ASan.
   ctest --test-dir build-asan --output-on-failure \
-    -R '(mem_tracker|memory_governance|serving|api|topk_differential|topk_property)_test'
+    -R '(mem_tracker|memory_governance|serving|api|topk_differential|topk_property|csr_differential|parallel_differential|delta_differential|inc)_test'
   GQOPT_DOP=4 ctest --test-dir build-asan --output-on-failure \
     -R '(mem_tracker|memory_governance|serving|topk_differential)_test'
   echo "ASan+UBSan tier-1 subset passed (build-asan/)"
