@@ -813,7 +813,6 @@ void BM_PreparedVsCold(benchmark::State& state) {
       kPreparedBenchCases[state.range(0)];
   api::Database& db = PreparedBenchDatabase(bench_case.ldbc);
   api::ExecOptions options;  // explicit defaults; cache on
-  db.set_plan_cache_enabled(true);
   api::Session session(db, options);
   // Warm the cache once; every iteration below is the serving fast path
   // (normalized-text lookup hit + execute).

@@ -47,13 +47,11 @@ std::string StaleMessage(const char* prefix, uint64_t now, uint64_t then,
 /// The plan-affecting option fields, folded into the cache key so two
 /// sessions with different planning knobs never share a plan.
 std::string PlanFingerprint(const ExecOptions& options) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "r%d p%d fs%d dop%d ss%d lm%d|",
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "r%d p%d fs%d dop%d|",
                 options.apply_schema_rewrite ? 1 : 0,
                 static_cast<int>(options.planner),
-                options.enable_fixpoint_seeding ? 1 : 0, options.dop,
-                options.allow_stale_statistics ? 1 : 0,
-                options.low_memory ? 1 : 0);
+                options.enable_fixpoint_seeding ? 1 : 0, options.dop);
   return buf;
 }
 
@@ -160,60 +158,9 @@ std::string PreparedQuery::Explain() const {
   return ExplainPlan(plan_, snapshot_->catalog());
 }
 
-Result<std::string> PreparedQuery::ExplainAnalyze(
-    const Session& session) const {
-  if (&session.database() != db_) {
-    return Status::InvalidArgument(
-        "execute: session belongs to a different Database");
-  }
-  uint64_t now = db_->generation();
-  if (generation_ != now) {
-    return Status::InvalidArgument(StaleMessage(
-        "execute: stale prepared query ", now, generation_, ""));
-  }
-  GQOPT_RETURN_NOT_OK(db_->StageFault(QueryStage::kExecute));
-  // Same snapshot re-resolution as Execute: run against the data the
-  // caller would actually query.
-  SnapshotPtr snap = snapshot_;
-  if (snap->data_generation() != db_->data_generation()) {
-    snap = db_->snapshot();
-    if (snap->generation() != generation_) {
-      return Status::InvalidArgument(StaleMessage(
-          "execute: stale prepared query ", snap->generation(), generation_,
-          ""));
-    }
-  }
-  try {
-    Executor executor(snap->catalog());
-    MemoryTracker query_mem(session.options().mem_limit_bytes, "query",
-                            &db_->mem_, /*probe_faults=*/true);
-    ExecContext ctx = session.options().MakeExecContext();
-    ctx.mem = &query_mem;
-    auto table = executor.Run(plan_, ctx);
-    if (!table.ok()) return StageError(QueryStage::kExecute, table.status());
-    std::string out =
-        ExplainPlanAnalyze(plan_, snap->catalog(), executor.actual_rows(),
-                           &executor.actual_bytes());
-    out.append("(");
-    out.append(std::to_string(table->rows()));
-    out.append(" result rows, peak memory ");
-    out.append(std::to_string(query_mem.peak()));
-    out.append(" bytes)\n");
-    return out;
-  } catch (const std::bad_alloc&) {
-    return StageError(QueryStage::kExecute,
-                      Status::ResourceExhausted(
-                          "allocation failed (out of memory or injected)"));
-  }
-}
-
-Result<QueryResult> PreparedQuery::Execute(const Session& session) const {
-  return Execute(session,
-                 Deadline::AfterMillis(session.options().timeout_ms));
-}
-
-Result<QueryResult> PreparedQuery::Execute(const Session& session,
-                                           const Deadline& deadline) const {
+template <typename T, typename Finish>
+Result<T> PreparedQuery::Run(const Session& session, const Deadline& deadline,
+                             Finish finish) const {
   if (&session.database() != db_) {
     return Status::InvalidArgument(
         "execute: session belongs to a different Database");
@@ -221,7 +168,7 @@ Result<QueryResult> PreparedQuery::Execute(const Session& session,
   // One atomic generation read, then everything runs on one Snapshot: a
   // mutation landing after this check cannot swap the catalog out from
   // under the executor (the old TOCTOU window), it only makes the *next*
-  // Execute refuse.
+  // run refuse.
   uint64_t now = db_->generation();
   if (generation_ != now) {
     return Status::InvalidArgument(StaleMessage(
@@ -254,20 +201,54 @@ Result<QueryResult> PreparedQuery::Execute(const Session& session,
     auto table = executor.Run(plan_, ctx);
     double elapsed = Now() - start;
     if (!table.ok()) return StageError(QueryStage::kExecute, table.status());
-    QueryResult result;
-    result.table = std::move(table).value();
-    result.exec_seconds = elapsed;
-    result.plan_operators = executor.actual_rows().size();
-    for (const auto& [node, rows] : executor.actual_rows()) {
-      result.rows_processed += rows;
-    }
-    result.mem_peak_bytes = query_mem.peak();
-    return result;
+    return finish(std::move(table).value(), elapsed, executor, query_mem,
+                  *snap);
   } catch (const std::bad_alloc&) {
     return StageError(QueryStage::kExecute,
                       Status::ResourceExhausted(
                           "allocation failed (out of memory or injected)"));
   }
+}
+
+Result<std::string> PreparedQuery::ExplainAnalyze(
+    const Session& session) const {
+  return Run<std::string>(
+      session, Deadline::AfterMillis(session.options().timeout_ms),
+      [this](Table table, double, const Executor& executor,
+             const MemoryTracker& query_mem, const Snapshot& snap) {
+        std::string out =
+            ExplainPlanAnalyze(plan_, snap.catalog(), executor.actual_rows(),
+                               &executor.actual_bytes());
+        out.append("(");
+        out.append(std::to_string(table.rows()));
+        out.append(" result rows, peak memory ");
+        out.append(std::to_string(query_mem.peak()));
+        out.append(" bytes)\n");
+        return out;
+      });
+}
+
+Result<QueryResult> PreparedQuery::Execute(const Session& session) const {
+  return Execute(session,
+                 Deadline::AfterMillis(session.options().timeout_ms));
+}
+
+Result<QueryResult> PreparedQuery::Execute(const Session& session,
+                                           const Deadline& deadline) const {
+  return Run<QueryResult>(
+      session, deadline,
+      [](Table table, double elapsed, const Executor& executor,
+         const MemoryTracker& query_mem, const Snapshot&) {
+        QueryResult result;
+        result.table = std::move(table);
+        result.exec_seconds = elapsed;
+        result.plan_operators = executor.actual_rows().size();
+        for (const auto& [node, rows] : executor.actual_rows()) {
+          result.rows_processed += rows;
+        }
+        result.mem_peak_bytes = query_mem.peak();
+        return result;
+      });
 }
 
 // ---- Database --------------------------------------------------------------
@@ -316,23 +297,6 @@ SnapshotPtr Database::snapshot() const {
   return BuildSnapshotLocked();
 }
 
-SnapshotPtr Database::StaleOkSnapshot(bool* served_stale) const {
-  if (served_stale != nullptr) *served_stale = false;
-  {
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    if (snapshot_) return snapshot_;
-    // Same generations mean same data: only the statistics are behind a
-    // refresh. Older data (schema OR delta) must never be served.
-    if (last_snapshot_ && last_snapshot_->generation() == generation() &&
-        last_snapshot_->data_generation() == data_generation()) {
-      if (served_stale != nullptr) *served_stale = true;
-      return last_snapshot_;
-    }
-  }
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return BuildSnapshotLocked();
-}
-
 SnapshotPtr Database::BuildSnapshotLocked() const {
   // Double-checked: a racing reader may have published while this thread
   // waited on state_mu_.
@@ -367,7 +331,6 @@ SnapshotPtr Database::BuildSnapshotLocked() const {
       generation(), data_generation(), schema_, base_graph_, base_catalog_,
       std::move(seal));
   std::lock_guard<std::mutex> lock(publish_mu_);
-  last_snapshot_ = built;
   snapshot_ = built;
   return built;
 }
@@ -379,7 +342,6 @@ void Database::DataMutatedLocked() {
   data_generation_.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> lock(publish_mu_);
   snapshot_.reset();
-  last_snapshot_.reset();  // older data; never a stale-serving source
 }
 
 void Database::WroteLocked() {
@@ -405,7 +367,6 @@ void Database::Use(GraphSchema schema, PropertyGraph graph) {
   {
     std::lock_guard<std::mutex> lock(publish_mu_);
     snapshot_.reset();
-    last_snapshot_.reset();  // dead generation; free it eagerly
   }
   cache_.Invalidate();
 }
@@ -488,21 +449,6 @@ void Database::set_plan_drift_threshold(double threshold) {
                               std::memory_order_relaxed);
 }
 
-void Database::RefreshStatistics() {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  // Same data, same generations: outstanding handles AND cached plan
-  // entries stay valid — only the statistics re-collect (the base
-  // catalog slot drops, so the next snapshot builds fresh ones over the
-  // unchanged base graph). last_snapshot_ is kept: it is the
-  // same-generation source for degraded stale-statistics serving until
-  // the rebuild lands.
-  base_catalog_.reset();
-  {
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    snapshot_.reset();
-  }
-}
-
 Status Database::StageFault(QueryStage stage) const {
   FaultPoint point = FaultPoint::kExecute;
   switch (stage) {
@@ -526,13 +472,18 @@ Status Database::StageFault(QueryStage stage) const {
       return StageError(
           stage, Status::ResourceExhausted("injected allocation failure"));
     case FaultKind::kInvalidate: {
-      // Forced mid-request cache invalidation: retire the publication
-      // AND the plan cache without a generation bump (RefreshStatistics
-      // alone keeps the plan cache these days). The request continues on
-      // the state it already captured.
-      Database* self = const_cast<Database*>(this);
-      self->RefreshStatistics();
-      self->ClearPlanCache();
+      // Forced mid-request cache invalidation without a generation bump:
+      // retire the publication and the base catalog (the next reader
+      // re-collects statistics over the same base graph) and clear the
+      // plan cache. The request continues on the state it already
+      // captured.
+      {
+        std::lock_guard<std::mutex> lock(state_mu_);
+        base_catalog_.reset();
+        std::lock_guard<std::mutex> publish(publish_mu_);
+        snapshot_.reset();
+      }
+      cache_.Invalidate();
       break;
     }
     default:
@@ -618,17 +569,13 @@ Result<PreparedQueryPtr> Database::PrepareImpl(const std::string& key,
 
   // The whole prepare pipeline observes this one snapshot; the handle
   // pins it so Execute later runs against exactly what was planned.
-  bool stale_stats = false;
-  SnapshotPtr snap = options.allow_stale_statistics
-                         ? StaleOkSnapshot(&stale_stats)
-                         : snapshot();
+  SnapshotPtr snap = snapshot();
 
   auto prepared = std::make_shared<PreparedQuery>(PreparedQuery());
   prepared->db_ = this;
   prepared->snapshot_ = snap;
   prepared->generation_ = snap->generation();
   prepared->data_generation_ = snap->data_generation();
-  prepared->stale_statistics_ = stale_stats;
 
   GQOPT_RETURN_NOT_OK(StageFault(QueryStage::kParse));
   if (parsed != nullptr) {

@@ -200,10 +200,6 @@ class PreparedQuery {
   /// Data generation at Prepare time (the snapshot the cost estimates
   /// came from; Execute may run against a newer one).
   uint64_t data_generation() const { return data_generation_; }
-  /// True when the plan was built against the previous same-generation
-  /// snapshot (degraded statistics serving; see
-  /// ExecOptions::allow_stale_statistics).
-  bool stale_statistics() const { return stale_statistics_; }
   /// Estimated execution footprint in bytes (EstimatePlanMemory over the
   /// plan at Prepare time). The serving layer's admission control
   /// compares this against the remaining server budget; it is an
@@ -238,11 +234,20 @@ class PreparedQuery {
   friend class Database;
   PreparedQuery() = default;
 
+  /// The run path Execute and ExplainAnalyze share: the session and
+  /// generation checks, the execute fault probe, snapshot re-resolution,
+  /// the per-query memory tracker and context under `deadline`, and the
+  /// bad_alloc boundary. `finish(table, seconds, executor, tracker,
+  /// snapshot)` builds the caller's T while the executor and the tracker
+  /// are still alive. Defined (and only used) in database.cc.
+  template <typename T, typename Finish>
+  Result<T> Run(const Session& session, const Deadline& deadline,
+                Finish finish) const;
+
   const Database* db_ = nullptr;
   SnapshotPtr snapshot_;
   uint64_t generation_ = 0;
   uint64_t data_generation_ = 0;
-  bool stale_statistics_ = false;
   int64_t estimated_memory_bytes_ = 0;
   std::string text_;
   Ucqt query_;
@@ -272,7 +277,7 @@ using PreparedQueryPtr = std::shared_ptr<const PreparedQuery>;
 /// captured. The single-object accessors graph()/schema() return the
 /// master state (stable references for the Database lifetime, contents
 /// change under mutation); catalog() references the current publication
-/// and is only stable until the next mutation/Use/RefreshStatistics —
+/// and is only stable until the next mutation or Use() —
 /// concurrent pipelines should hold a snapshot() or a PreparedQuery
 /// instead.
 ///
@@ -315,7 +320,7 @@ class Database {
   /// The relational catalog of the current snapshot (built on first use
   /// after a mutation: writes since the last one cost one seal and
   /// overlay at the next query, not one per call). The reference is
-  /// stable until the next mutation/Use/RefreshStatistics.
+  /// stable until the next mutation or Use().
   const Catalog& catalog() const;
   /// Schema generation: bumped by Use() only; PreparedQuery handles from
   /// older schema generations refuse to execute.
@@ -332,14 +337,6 @@ class Database {
   /// Everything reachable from the returned Snapshot is safe for
   /// concurrent use and stays alive while the pointer is held.
   SnapshotPtr snapshot() const;
-
-  /// Like snapshot(), but if the current publication is retired while a
-  /// previous one of the SAME generations exists (a statistics refresh
-  /// in progress), returns the previous one instead of rebuilding — the
-  /// degradation ladder's "serve slightly-stale statistics" rung. Never
-  /// returns data from an older generation. `served_stale`, when
-  /// non-null, reports whether the stale path was taken.
-  SnapshotPtr StaleOkSnapshot(bool* served_stale = nullptr) const;
 
   /// Swaps in a new dataset (schema + graph). Invalidates the plan cache
   /// and all outstanding PreparedQuery handles; discards any pending
@@ -375,14 +372,6 @@ class Database {
   /// of serving (default 2.0; must be >= 1). Overrides GQOPT_PLAN_DRIFT.
   void set_plan_drift_threshold(double threshold);
 
-  /// Retires the published snapshot so statistics re-collect from the
-  /// current graph. Neither generation moves and — unlike Use() — BOTH
-  /// outstanding handles and cached plan entries stay valid: only
-  /// the estimates refresh (re-prepares after the refresh cost plans
-  /// under the new numbers). StaleOkSnapshot may keep serving the
-  /// previous publication until the rebuild lands.
-  void RefreshStatistics();
-
   /// Parse + typecheck + schema rewrite + translate + optimize, or a plan
   /// cache hit skipping all of it. Errors carry a stage prefix (see
   /// ClassifyError); allocation failures (real or injected) surface as
@@ -400,8 +389,6 @@ class Database {
                                    bool* cache_hit = nullptr) const;
 
   PlanCacheStats plan_cache_stats() const { return cache_.stats(); }
-  /// Explicit enable/disable; overrides the GQOPT_PLAN_CACHE default.
-  void set_plan_cache_enabled(bool enabled) { cache_.set_enabled(enabled); }
   /// Explicit LRU capacity (0 = unbounded); overrides
   /// GQOPT_PLAN_CACHE_CAP.
   void set_plan_cache_capacity(size_t capacity) {
@@ -452,9 +439,8 @@ class Database {
   /// within the drift threshold against the current statistics.
   bool PlanStillFits(const PreparedQuery& cached) const;
   /// Probes the fault injector at a stage boundary: returns the injected
-  /// stage-prefixed failure, or OK (kInvalidate drops the published
-  /// caches AND the plan cache — the legacy refresh effect — and
-  /// continues).
+  /// stage-prefixed failure, or OK (kInvalidate retires the publication
+  /// with its statistics and clears the plan cache, then continues).
   Status StageFault(QueryStage stage) const;
 
   // Guards the master state (schema_, graph_, delta_, base slots) and
@@ -471,8 +457,8 @@ class Database {
   // Write path (guarded by state_mu_): the pending buffer, the frozen
   // copy of the master that published snapshots share, and the base
   // catalog built over that copy. The base slots reset on compaction and
-  // Use() (content changed) and base_catalog_ alone on RefreshStatistics
-  // (same data, fresh statistics).
+  // Use() (content changed), and base_catalog_ alone on an injected
+  // kInvalidate fault (same data, fresh statistics).
   size_t delta_merge_rows_ = 4096;
   inc::DeltaStore delta_;
   mutable std::shared_ptr<const PropertyGraph> base_graph_;
@@ -480,17 +466,14 @@ class Database {
   // Read on the lock-free Prepare path; relaxed ordering is fine (any
   // recent value yields a correct plan).
   std::atomic<double> plan_drift_threshold_{2.0};
-  // Leaf mutex guarding only the two publication slots below — taken for
+  // Leaf mutex guarding only the publication slot below — taken for
   // pointer copies, never across a build. (Not std::atomic<shared_ptr>:
   // libstdc++'s _Sp_atomic trips ThreadSanitizer, and the robustness
   // suite requires a TSan-clean facade.) May be taken while state_mu_ is
   // held; never the other way around.
   mutable std::mutex publish_mu_;
-  // The published snapshot (null while retired) and the most recent
-  // publication (kept across RefreshStatistics as the stale-statistics
-  // serving source; cleared by mutations). Guarded by publish_mu_.
+  // The published snapshot (null while retired). Guarded by publish_mu_.
   mutable SnapshotPtr snapshot_;
-  mutable SnapshotPtr last_snapshot_;
   mutable PlanCache cache_;
   // Root of the memory-tracker hierarchy: per-query trackers created in
   // PreparedQuery::Execute parent here, so the sum of all in-flight

@@ -37,7 +37,6 @@ OptimizerOptions ExecOptions::ToOptimizerOptions() const {
   options.enable_fixpoint_seeding = enable_fixpoint_seeding;
   options.dop = dop;
   options.planner = planner;
-  options.low_memory = low_memory;
   return options;
 }
 
@@ -46,7 +45,6 @@ ExecContext ExecOptions::MakeExecContext() const {
   ctx.deadline = Deadline::AfterMillis(timeout_ms);
   ctx.dop = dop;
   ctx.parallel_min_rows = parallel_min_rows;
-  ctx.low_memory = low_memory;
   return ctx;
 }
 

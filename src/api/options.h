@@ -10,6 +10,9 @@
 // A default-constructed ExecOptions never reads the environment; callers
 // that want the ambient GQOPT_* knobs opt in with FromEnv() and can then
 // still override individual fields (explicit beats env beats default).
+// FromEnv() is the only reader of the knobs it lists: the structs below
+// this layer (OptimizerOptions, ExecContext) and the Database plan cache
+// keep their constant defaults whatever the environment says.
 
 #ifndef GQOPT_API_OPTIONS_H_
 #define GQOPT_API_OPTIONS_H_
@@ -63,20 +66,9 @@ struct ExecOptions {
   /// Apply the schema-based rewrite during Prepare. The measurement
   /// helpers disable this to run a caller-supplied query verbatim.
   bool apply_schema_rewrite = true;
-  /// Allow Prepare to plan against the previous same-generation snapshot
-  /// while a fresh one (statistics refresh) is still being built, instead
-  /// of waiting for the rebuild. Slightly-stale statistics, never stale
-  /// data: a generation bump always invalidates. Set by the serving
-  /// layer's degradation ladder under pressure (src/api/server.h).
-  bool allow_stale_statistics = false;
-  /// Consult/populate the Database plan cache in Prepare. Independent of
-  /// the cache's Database-level enable switch; both must be on for a hit.
+  /// Consult/populate the Database plan cache in Prepare — the cache's
+  /// only switch. Off, every Prepare plans afresh and stores nothing.
   bool use_plan_cache = true;
-  /// Memory rung of the degradation ladder: plan and execute with the
-  /// low-footprint join paths (merge/offset over radix/flat-hash,
-  /// reduced radix fan-out). Plan-affecting — part of the plan-cache
-  /// fingerprint. Set by the serving layer under memory pressure.
-  bool low_memory = false;
 
   /// Defaults overlaid with the GQOPT_* environment knobs above. The
   /// environment is read fresh on every call (no cached statics), so

@@ -27,8 +27,6 @@ std::string NormalizeQueryText(std::string_view text) {
 }
 
 PlanCache::PlanCache() {
-  const char* env = std::getenv("GQOPT_PLAN_CACHE");
-  stats_.enabled = env == nullptr || std::string_view(env) != "0";
   if (const char* cap = std::getenv("GQOPT_PLAN_CACHE_CAP")) {
     char* end = nullptr;
     unsigned long value = std::strtoul(cap, &end, 10);
@@ -42,21 +40,6 @@ PlanCache::PlanCache() {
   }
   stats_.capacity = capacity_;
   stats_.mem_capacity = mem_capacity_;
-}
-
-void PlanCache::set_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.enabled = enabled;
-  if (!enabled) {
-    entries_.clear();
-    lru_.clear();
-    bytes_ = 0;
-  }
-}
-
-bool PlanCache::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_.enabled;
 }
 
 void PlanCache::set_capacity(size_t capacity) {
@@ -76,13 +59,11 @@ void PlanCache::set_memory_capacity(size_t bytes) {
 std::shared_ptr<const PreparedQuery> PlanCache::Lookup(
     const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (stats_.enabled) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      return it->second.entry;
-    }
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    ++stats_.hits;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    return it->second.entry;
   }
   ++stats_.misses;
   return nullptr;
@@ -92,7 +73,6 @@ void PlanCache::Insert(const std::string& key,
                        std::shared_ptr<const PreparedQuery> entry,
                        size_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!stats_.enabled) return;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     bytes_ -= it->second.bytes;

@@ -33,7 +33,7 @@ inline constexpr size_t kDefaultPlanCacheMemCapacity = size_t{64} << 20;
 /// Observable cache state; a consistent snapshot under the cache mutex.
 struct PlanCacheStats {
   uint64_t hits = 0;
-  uint64_t misses = 0;          // counted even while disabled
+  uint64_t misses = 0;
   uint64_t invalidations = 0;   // full clears (dataset swap, explicit)
   uint64_t evictions = 0;       // LRU capacity evictions (count or bytes)
   size_t entries = 0;
@@ -41,7 +41,6 @@ struct PlanCacheStats {
   /// Accounted bytes across entries and the byte budget (0 = unbounded).
   size_t bytes = 0;
   size_t mem_capacity = kDefaultPlanCacheMemCapacity;
-  bool enabled = true;
 };
 
 /// Canonical cache-key text: whitespace runs collapse to one space and
@@ -52,10 +51,8 @@ std::string NormalizeQueryText(std::string_view text);
 
 /// \brief Thread-safe LRU map from cache key to shared PreparedQuery state.
 ///
-/// Enabled by default; GQOPT_PLAN_CACHE=0 in the environment disables it
-/// at construction, and set_enabled() (the explicit setter) overrides the
-/// environment either way. Lookups while disabled always miss and Insert
-/// is a no-op, so the counters stay meaningful in both modes.
+/// The cache has no switch of its own: callers that must not use it skip
+/// Lookup and Insert (ExecOptions::use_plan_cache).
 ///
 /// Capacity comes from GQOPT_PLAN_CACHE_CAP at construction (0 =
 /// unbounded) with set_capacity() as the explicit override; when full,
@@ -63,9 +60,6 @@ std::string NormalizeQueryText(std::string_view text);
 class PlanCache {
  public:
   PlanCache();
-
-  void set_enabled(bool enabled);
-  bool enabled() const;
 
   /// Overrides the capacity (explicit beats env beats default); shrinking
   /// below the current size evicts LRU entries immediately. 0 = unbounded.
@@ -76,15 +70,14 @@ class PlanCache {
   void set_memory_capacity(size_t bytes);
 
   /// Returns the cached entry (counting a hit and refreshing its recency)
-  /// or nullptr (counting a miss — also when disabled).
+  /// or nullptr (counting a miss).
   std::shared_ptr<const PreparedQuery> Lookup(const std::string& key);
 
-  /// Stores `entry` under `key` (no-op while disabled), evicting LRU
-  /// entries while the cache is over its entry count or byte budget.
-  /// `bytes` is the entry's accounted footprint (key + plan + pinned
-  /// state estimate); the newest entry survives even when it alone
-  /// exceeds the byte budget — the cache degrades to capacity 1, it
-  /// never refuses.
+  /// Stores `entry` under `key`, evicting LRU entries while the cache is
+  /// over its entry count or byte budget. `bytes` is the entry's
+  /// accounted footprint (key + plan + pinned state estimate); the newest
+  /// entry survives even when it alone exceeds the byte budget — the
+  /// cache degrades to capacity 1, it never refuses.
   void Insert(const std::string& key,
               std::shared_ptr<const PreparedQuery> entry, size_t bytes = 0);
 

@@ -23,17 +23,10 @@ std::string DegradationReport::Summary() const {
   };
   if (greedy_planner) add("greedy-planner");
   if (skipped_rewrite) add("skipped-rewrite");
-  if (stale_statistics) add("stale-statistics");
-  if (low_memory) add("low-memory");
   if (out.empty()) out = "none";
   if (pressure > 0) {
     out += " (pressure ";
     out += std::to_string(pressure);
-    out += ")";
-  }
-  if (memory_pressure > 0) {
-    out += " (memory pressure ";
-    out += std::to_string(memory_pressure);
     out += ")";
   }
   return out;
@@ -105,12 +98,7 @@ Server::Response Server::Process(const std::string& text,
                   ? PressureLevel(depth_.load(std::memory_order_acquire),
                                   options_.queue_capacity)
                   : 0;
-  int memory_level =
-      options_.enable_degradation
-          ? MemoryPressureLevel(db_->memory().consumed(),
-                                db_->memory().limit())
-          : 0;
-  response.degradation = ApplyDegradation(level, memory_level, &options);
+  response.degradation = ApplyDegradation(level, &options);
 
   Session session(*db_, options);
   // A concurrent Use() between Prepare and Execute surfaces as a
@@ -123,7 +111,6 @@ Server::Response Server::Process(const std::string& text,
       response.result = prepared.status();
       return response;
     }
-    response.degradation.stale_statistics = (*prepared)->stale_statistics();
 
     // Memory admission: refuse work the remaining server budget cannot
     // plausibly hold, instead of admitting it and breaching mid-run.
@@ -185,15 +172,9 @@ Result<std::string> Server::Explain(std::string_view text,
                   ? PressureLevel(depth_.load(std::memory_order_acquire),
                                   options_.queue_capacity)
                   : 0;
-  int memory_level =
-      options_.enable_degradation
-          ? MemoryPressureLevel(db_->memory().consumed(),
-                                db_->memory().limit())
-          : 0;
-  DegradationReport report = ApplyDegradation(level, memory_level, &options);
+  DegradationReport report = ApplyDegradation(level, &options);
   GQOPT_ASSIGN_OR_RETURN(PreparedQueryPtr prepared,
                          db_->Prepare(text, options));
-  report.stale_statistics = prepared->stale_statistics();
   std::string out = prepared->Explain();
   out.append("degradation: ");
   out.append(report.Summary());
@@ -221,41 +202,16 @@ int Server::PressureLevel(size_t depth, size_t capacity) {
   return 0;
 }
 
-int Server::MemoryPressureLevel(int64_t consumed, int64_t limit) {
-  if (limit <= 0) return 0;  // unbounded budget: never under pressure
-  if (consumed < 0) consumed = 0;
-  if (consumed * 4 >= limit * 3) return 2;  // >= 3/4 consumed
-  if (consumed * 2 >= limit) return 1;      // >= 1/2 consumed
-  return 0;
-}
-
 DegradationReport Server::ApplyDegradation(int level, ExecOptions* options) {
-  return ApplyDegradation(level, /*memory_level=*/0, options);
-}
-
-DegradationReport Server::ApplyDegradation(int level, int memory_level,
-                                           ExecOptions* options) {
   DegradationReport report;
   report.pressure = level;
-  report.memory_pressure = memory_level;
-  if (memory_level >= 1 && !options->low_memory) {
-    // The memory rung: plan and execute on the low-footprint paths
-    // (merge/offset joins over radix/flat-hash, reduced radix fan-out).
-    options->low_memory = true;
-    report.low_memory = true;
-  }
   if (level >= 1 && options->planner == PlannerKind::kDp) {
     options->planner = PlannerKind::kGreedy;
     report.greedy_planner = true;
   }
-  if (level >= 2) {
-    if (options->apply_schema_rewrite) {
-      options->apply_schema_rewrite = false;
-      report.skipped_rewrite = true;
-    }
-    // Recorded on the response only when a stale snapshot is actually
-    // served (the handle reports it post-prepare).
-    options->allow_stale_statistics = true;
+  if (level >= 2 && options->apply_schema_rewrite) {
+    options->apply_schema_rewrite = false;
+    report.skipped_rewrite = true;
   }
   return report;
 }

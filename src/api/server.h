@@ -15,15 +15,6 @@
 // The degradation ladder (each rung recorded in the DegradationReport):
 //   pressure 1 (queue >= 1/2 full)  DP join planner -> greedy
 //   pressure 2 (queue >= 3/4 full)  + skip the schema rewrite
-//                                   + serve slightly-stale statistics
-//   memory pressure >= 1 (server    plan and execute low-footprint
-//     budget >= 1/2 consumed)       (ExecOptions::low_memory; ordered
-//                                   queries keep their bounded-heap TopK
-//                                   — O(k) state — instead of ever
-//                                   falling back to a full sort buffer,
-//                                   and the estimator's min(k, rows)
-//                                   output cap keeps admission-control
-//                                   footprint estimates small)
 // Shedding (queue full, deadline already expired when a worker picks
 // the request up, or — when GQOPT_SERVER_MEM_LIMIT is set — the plan's
 // estimated footprint exceeding the remaining server budget) fails fast
@@ -71,20 +62,8 @@ struct DegradationReport {
   bool greedy_planner = false;
   /// The schema rewrite was skipped.
   bool skipped_rewrite = false;
-  /// The plan was built against the previous same-generation snapshot
-  /// (statistics refresh in progress).
-  bool stale_statistics = false;
-  /// Server memory pressure at planning time: 0 = none (or no budget),
-  /// 1 = >= 1/2 of the budget consumed, 2 = >= 3/4.
-  int memory_pressure = 0;
-  /// The request was planned and executed on the low-footprint paths
-  /// (ExecOptions::low_memory) because of memory pressure.
-  bool low_memory = false;
 
-  bool any() const {
-    return greedy_planner || skipped_rewrite || stale_statistics ||
-           low_memory;
-  }
+  bool any() const { return greedy_planner || skipped_rewrite; }
   /// "none" or a comma list like "greedy-planner, skipped-rewrite
   /// (pressure 2)" — what EXPLAIN and the CLI print.
   std::string Summary() const;
@@ -162,18 +141,9 @@ class Server {
   /// `capacity`: 0 below 1/2, 1 from 1/2, 2 from 3/4.
   static int PressureLevel(size_t depth, size_t capacity);
 
-  /// The memory analogue: pressure for `consumed` bytes of a `limit`-byte
-  /// server budget (0 when unbounded: limit <= 0).
-  static int MemoryPressureLevel(int64_t consumed, int64_t limit);
-
   /// Applies the pressure-`level` rungs to `options` in place and
   /// reports what changed. Pure — unit-testable without a server.
   static DegradationReport ApplyDegradation(int level, ExecOptions* options);
-
-  /// Same, with the memory rung: `memory_level` >= 1 additionally turns
-  /// on the low-footprint execution paths (ExecOptions::low_memory).
-  static DegradationReport ApplyDegradation(int level, int memory_level,
-                                            ExecOptions* options);
 
   /// True for the failures QueryWithRetry may retry: shed load
   /// ("overloaded: ") and transient execute-stage deadline expiry (a

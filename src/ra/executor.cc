@@ -677,14 +677,13 @@ Result<Table> Executor::EvalJoin(const RaExpr* e, const ExecContext& ctx) {
       !(right_indexable || left_indexable)) {
     strategy = JoinStrategy::kAuto;
   }
-  if (strategy == JoinStrategy::kFlatHash && !ctx.low_memory &&
+  if (strategy == JoinStrategy::kFlatHash &&
       std::min(left.rows(), right.rows()) >= kRadixMinBuildRows) {
     // kFlatHash's precondition is a build side small enough for one
     // cache-resident index; when the optimizer's estimate undershot the
     // actual size, partitioning pays for itself — the mirror image of an
     // annotated radix join degrading to one flat index (radix_bits = 0)
-    // on a small actual build. Skipped under memory pressure: the radix
-    // scatter copies BOTH inputs, the flat index copies neither.
+    // on a small actual build.
     strategy = JoinStrategy::kRadixHash;
   }
   if (strategy == JoinStrategy::kAuto) {
@@ -693,9 +692,7 @@ Result<Table> Executor::EvalJoin(const RaExpr* e, const ExecContext& ctx) {
     } else if (right_indexable || left_indexable) {
       strategy = JoinStrategy::kOffset;
     } else {
-      strategy = !ctx.low_memory &&
-                         std::min(left.rows(), right.rows()) >=
-                             kRadixMinBuildRows
+      strategy = std::min(left.rows(), right.rows()) >= kRadixMinBuildRows
                      ? JoinStrategy::kRadixHash
                      : JoinStrategy::kFlatHash;
     }
@@ -816,11 +813,6 @@ Result<Table> Executor::EvalJoin(const RaExpr* e, const ExecContext& ctx) {
   int radix_bits = strategy == JoinStrategy::kRadixHash
                        ? RadixBitsFor(build.rows())
                        : 0;
-  // Memory rung of the degradation ladder: shrink the radix fan-out so
-  // the transient histogram/cursor arrays and per-partition buffers cost
-  // less; at 0 bits the join falls through to the single flat index,
-  // which never copies the inputs.
-  if (ctx.low_memory) radix_bits = std::max(0, radix_bits - 2);
   if (radix_bits > 0) {
     // Radix-partitioned hash join: scatter both sides by the high bits of
     // the key hash, then build and probe one cache-sized FlatJoinIndex

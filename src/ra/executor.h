@@ -35,7 +35,7 @@ class Executor {
   explicit Executor(const Catalog& catalog) : catalog_(catalog) {}
 
   /// Evaluates `plan`, honoring `deadline` inside joins and fixpoints,
-  /// at the ambient GQOPT_DOP degree of parallelism.
+  /// at the core-aware DefaultDop() degree of parallelism.
   Result<Table> Run(const RaExprPtr& plan, const Deadline& deadline = {});
 
   /// Evaluates `plan` under explicit execution settings (deadline, dop,

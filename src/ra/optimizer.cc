@@ -181,28 +181,31 @@ class Optimizer {
       if (Rows(conjuncts[i]) < Rows(conjuncts[start])) start = i;
     }
 
-    std::vector<bool> used(conjuncts.size(), false);
     RaExprPtr acc = conjuncts[start];
-    used[start] = true;
-    for (size_t round = 1; round < conjuncts.size(); ++round) {
-      // Among unused conjuncts, prefer connected ones minimizing the
-      // estimated joined cardinality.
-      size_t best = conjuncts.size();
+    conjuncts.erase(conjuncts.begin() + static_cast<std::ptrdiff_t>(start));
+    return AttachGreedily(std::move(acc), std::move(conjuncts));
+  }
+
+  // Joins every candidate onto `acc`, one per round: connected candidates
+  // first, then the smallest estimated joined cardinality, ties going to
+  // the earliest candidate in `candidates` order.
+  RaExprPtr AttachGreedily(RaExprPtr acc, std::vector<RaExprPtr> candidates) {
+    while (!candidates.empty()) {
+      size_t best = 0;
       bool best_connected = false;
       double best_rows = 0;
-      for (size_t i = 0; i < conjuncts.size(); ++i) {
-        if (used[i]) continue;
-        bool connected = SharesColumn(acc, conjuncts[i]);
-        double joined_rows = JoinedRows(acc, conjuncts[i]);
-        if (best == conjuncts.size() || (connected && !best_connected) ||
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        bool connected = SharesColumn(acc, candidates[i]);
+        double joined_rows = JoinedRows(acc, candidates[i]);
+        if (i == 0 || (connected && !best_connected) ||
             (connected == best_connected && joined_rows < best_rows)) {
           best = i;
           best_connected = connected;
           best_rows = joined_rows;
         }
       }
-      acc = JoinWithSeeding(std::move(acc), conjuncts[best]);
-      used[best] = true;
+      acc = JoinWithSeeding(std::move(acc), candidates[best]);
+      candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(best));
     }
     return acc;
   }
@@ -225,33 +228,10 @@ class Optimizer {
     dp_options.dop = options_.dop;
     dp_options.max_relations = options_.dp_max_relations;
     dp_options.deadline = options_.planning_deadline;
-    dp_options.low_memory = options_.low_memory;
     dp_options.requested_order = requested_order_;
     RaExprPtr acc = DpPlanJoinOrder(core, &estimator_, dp_options);
     if (acc == nullptr) return nullptr;
-
-    // Attach closures with the greedy criterion: connected-first,
-    // smallest estimated joined cardinality next.
-    std::vector<bool> used(closures.size(), false);
-    for (size_t round = 0; round < closures.size(); ++round) {
-      size_t best = closures.size();
-      bool best_connected = false;
-      double best_rows = 0;
-      for (size_t i = 0; i < closures.size(); ++i) {
-        if (used[i]) continue;
-        bool connected = SharesColumn(acc, closures[i]);
-        double joined_rows = JoinedRows(acc, closures[i]);
-        if (best == closures.size() || (connected && !best_connected) ||
-            (connected == best_connected && joined_rows < best_rows)) {
-          best = i;
-          best_connected = connected;
-          best_rows = joined_rows;
-        }
-      }
-      acc = JoinWithSeeding(std::move(acc), closures[best]);
-      used[best] = true;
-    }
-    return acc;
+    return AttachGreedily(std::move(acc), std::move(closures));
   }
 
   // Joins `acc` with `next`; when `next` is an unseeded transitive closure
@@ -281,11 +261,9 @@ class Optimizer {
       }
     }
     JoinPhysical phys = AnalyzeJoinShape(*acc, *next);
-    if (phys.strategy == JoinStrategy::kFlatHash && !options_.low_memory &&
+    if (phys.strategy == JoinStrategy::kFlatHash &&
         std::min(Rows(acc), Rows(next)) >=
             static_cast<double>(kRadixMinBuildRows)) {
-      // Skipped under the memory rung: the radix scatter copies both
-      // inputs, the flat index copies neither.
       phys.strategy = JoinStrategy::kRadixHash;
     }
     // Parallelism hint: hash joins partition their work (radix scatter,

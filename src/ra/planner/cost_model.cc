@@ -5,11 +5,9 @@
 namespace gqopt {
 
 double JoinWorkCost(JoinStrategy strategy, double left_rows,
-                    double right_rows, double out_rows, int parallel_hint,
-                    bool low_memory) {
+                    double right_rows, double out_rows, int parallel_hint) {
   double emit = out_rows * kCostEmitPerRow;
   double dop = std::max(1, parallel_hint);
-  double hash_penalty = low_memory ? kCostLowMemoryHashPenalty : 1.0;
   switch (strategy) {
     case JoinStrategy::kOffset:
       // Offset fill over the sorted build side + in-order probe.
@@ -19,16 +17,14 @@ double JoinWorkCost(JoinStrategy strategy, double left_rows,
     case JoinStrategy::kRadixHash:
       // Scatter both sides, build/probe per partition; the whole pipeline
       // is partition-parallel, so the hint discounts all of it.
-      return ((left_rows + right_rows) * kCostRadixPerRow + emit) / dop *
-             hash_penalty;
+      return ((left_rows + right_rows) * kCostRadixPerRow + emit) / dop;
     case JoinStrategy::kFlatHash: {
       // Build on the smaller side; the probe loop (and its emits) split
       // into morsels at dop > 1, the build stays serial.
       double build = std::min(left_rows, right_rows);
       double probe = std::max(left_rows, right_rows);
-      return (build * kCostFlatBuildPerRow +
-              (probe * kCostFlatProbePerRow + emit) / dop) *
-             hash_penalty;
+      return build * kCostFlatBuildPerRow +
+             (probe * kCostFlatProbePerRow + emit) / dop;
     }
     case JoinStrategy::kAuto:
       // Cross product (no shared columns): nested loop.

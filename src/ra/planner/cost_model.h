@@ -33,22 +33,14 @@ constexpr double kCostFlatProbePerRow = 2.5;
 /// Weight of materializing one output row (identical across strategies).
 constexpr double kCostEmitPerRow = 1.0;
 
-/// Memory-pressure multiplier on the hash strategies: radix scatters
-/// copies of both inputs and flat builds an index over the build side,
-/// while merge/offset stream with O(1) extra state — under pressure the
-/// planner should only pick a hash join when it is a ~4x work win.
-constexpr double kCostLowMemoryHashPenalty = 4.0;
-
 /// Work (excluding children) of joining inputs of `left_rows` and
 /// `right_rows` estimated rows into `out_rows` with `strategy`.
 /// `parallel_hint` is the plan-time p=N annotation: hints > 1 discount
 /// the partitionable portion of the hash strategies (scatter, build,
 /// probe, emit); merge/offset stream in order and stay serial. kAuto
-/// (cross product) is costed as a nested loop. `low_memory` applies the
-/// hash-strategy penalty above (the degradation ladder's memory rung).
+/// (cross product) is costed as a nested loop.
 double JoinWorkCost(JoinStrategy strategy, double left_rows,
-                    double right_rows, double out_rows, int parallel_hint,
-                    bool low_memory = false);
+                    double right_rows, double out_rows, int parallel_hint);
 
 }  // namespace gqopt
 

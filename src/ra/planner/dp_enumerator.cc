@@ -49,8 +49,7 @@ double NdvOf(const Candidate& c, uint16_t col) {
 // Join factory's sorted-prefix derivation — so the materialized tree
 // re-derives exactly the properties the enumerator costed.
 Candidate Combine(const Candidate& l, const Candidate& r,
-                  const std::vector<uint16_t>& shared, int dop,
-                  bool low_memory) {
+                  const std::vector<uint16_t>& shared, int dop) {
   Candidate out;
   out.left = &l;
   out.right = &r;
@@ -83,13 +82,10 @@ Candidate Combine(const Candidate& l, const Candidate& r,
       out.strategy = JoinStrategy::kOffset;  // probe = right: order lost
       out.sorted_prefix = 0;
     } else {
-      // Under the memory rung, stick with the flat index: the radix
-      // scatter copies both inputs (the executor mirrors this choice).
-      out.strategy =
-          !low_memory && std::min(l.rows, r.rows) >=
+      out.strategy = std::min(l.rows, r.rows) >=
                              static_cast<double>(kRadixMinBuildRows)
-              ? JoinStrategy::kRadixHash
-              : JoinStrategy::kFlatHash;
+                         ? JoinStrategy::kRadixHash
+                         : JoinStrategy::kFlatHash;
       out.sorted_prefix = 0;
     }
   }
@@ -111,7 +107,7 @@ Candidate Combine(const Candidate& l, const Candidate& r,
   out.rows = l.rows * r.rows * selectivity;
   out.cost = l.cost + r.cost +
              JoinWorkCost(out.strategy, l.rows, r.rows, out.rows,
-                          out.parallel_hint, low_memory);
+                          out.parallel_hint);
 
   out.cols = l.cols;
   out.col_mask = l.col_mask | r.col_mask;
@@ -323,9 +319,7 @@ RaExprPtr DpPlanJoinOrder(const std::vector<RaExprPtr>& relations,
             for (uint16_t col : l->cols) {
               if ((shared_mask >> col) & 1) shared.push_back(col);
             }
-            Insert(&plans, &storage,
-                   Combine(*l, *r, shared, options.dop,
-                           options.low_memory));
+            Insert(&plans, &storage, Combine(*l, *r, shared, options.dop));
           }
         }
       }
@@ -342,9 +336,7 @@ RaExprPtr DpPlanJoinOrder(const std::vector<RaExprPtr>& relations,
             });
   const Candidate* acc = component_plans[0];
   for (size_t i = 1; i < component_plans.size(); ++i) {
-    storage.push_back(
-        Combine(*acc, *component_plans[i], {}, options.dop,
-                options.low_memory));
+    storage.push_back(Combine(*acc, *component_plans[i], {}, options.dop));
     acc = &storage.back();
   }
   return Materialize(*acc, relations);

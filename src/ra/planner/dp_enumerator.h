@@ -17,8 +17,6 @@
 #ifndef GQOPT_RA_PLANNER_DP_ENUMERATOR_H_
 #define GQOPT_RA_PLANNER_DP_ENUMERATOR_H_
 
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "ra/explain.h"
@@ -38,18 +36,6 @@ enum class PlannerKind : uint8_t {
 /// 50 ms planning budget, see BM_PlanEnumeration).
 constexpr size_t kDpMaxJoinRelations = 10;
 
-/// The GQOPT_PLANNER environment knob: "greedy" selects the legacy pass,
-/// anything else (including unset) selects "dp". Read once per process.
-inline PlannerKind EnvPlanner() {
-  static const PlannerKind kind = [] {
-    const char* env = std::getenv("GQOPT_PLANNER");
-    return env != nullptr && std::string(env) == "greedy"
-               ? PlannerKind::kGreedy
-               : PlannerKind::kDp;
-  }();
-  return kind;
-}
-
 /// Enumeration settings (a subset of OptimizerOptions, to keep the
 /// planner layer free of an optimizer.h dependency).
 struct DpPlannerOptions {
@@ -59,10 +45,6 @@ struct DpPlannerOptions {
   size_t max_relations = kDpMaxJoinRelations;
   /// Enumeration polls this deadline and bails to nullptr on expiry.
   Deadline deadline;
-  /// Memory rung of the degradation ladder: penalize hash strategies in
-  /// the cost model and skip the flat->radix size refinement, so plans
-  /// lean on merge/offset orders that stream with O(1) extra state.
-  bool low_memory = false;
   /// The query's ORDER BY keys, when one sits above this cluster: a
   /// requested interesting order. Winner selection charges candidates
   /// that do NOT deliver the requested ascending prefix a full sort of

@@ -8,7 +8,6 @@
 #define GQOPT_UTIL_EXEC_CONTEXT_H_
 
 #include <algorithm>
-#include <cstdlib>
 #include <string_view>
 #include <thread>
 
@@ -30,25 +29,11 @@ constexpr size_t kParallelMinRows = size_t{1} << 15;
 /// clamped to [1, 256] (0 — unknown — degrades to 1, serial). Parallel
 /// execution is bit-identical to serial, so the default only sets how
 /// wide operators fan out, never what they produce. On a 1-core box
-/// this is 1, i.e. everything stays serial unless GQOPT_DOP raises it.
+/// this is 1, i.e. everything stays serial unless a caller raises it.
 inline int DefaultDop() {
   static const int dop = [] {
     unsigned hw = std::thread::hardware_concurrency();
     return std::clamp(static_cast<int>(hw), 1, 256);
-  }();
-  return dop;
-}
-
-/// Degree of parallelism from the GQOPT_DOP environment variable
-/// (clamped to [1, 256]; unparsable means 1 — serial; unset falls back
-/// to the core-aware DefaultDop()). Read once: the knob selects a
-/// run-wide mode, not a per-query one.
-inline int EnvDop() {
-  static const int dop = [] {
-    const char* env = std::getenv("GQOPT_DOP");
-    if (env == nullptr) return DefaultDop();
-    int value = std::atoi(env);
-    return std::clamp(value, 1, 256);
   }();
   return dop;
 }
@@ -59,8 +44,9 @@ inline int EnvDop() {
 struct ExecContext {
   Deadline deadline;
   /// Maximum concurrent workers per operator (1 = serial). Defaults to
-  /// GQOPT_DOP so existing deadline-only call sites inherit the knob.
-  int dop = EnvDop();
+  /// the core-aware DefaultDop(); never an environment read (GQOPT_DOP
+  /// reaches executions only through api::ExecOptions::FromEnv()).
+  int dop = DefaultDop();
   /// Runtime degrade threshold; tests lower it to exercise the parallel
   /// paths on small inputs.
   size_t parallel_min_rows = kParallelMinRows;
@@ -70,11 +56,6 @@ struct ExecContext {
   /// their buffers here and poll breached() at deadline-poll cadence;
   /// see util/mem_tracker.h for the charge-and-latch model.
   MemoryTracker* mem = nullptr;
-  /// Degradation ladder's memory rung: prefer low-memory join paths
-  /// (merge/offset over radix/flat-hash, reduced radix fan-out). Set by
-  /// the serving layer under memory pressure — a physical choice only,
-  /// results stay bit-identical.
-  bool low_memory = false;
   /// Early-termination bound: when non-zero, the caller only consumes
   /// the first `limit_hint` rows of this operator's output. Set by the
   /// executor's Limit evaluation and forwarded only through operators

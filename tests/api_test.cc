@@ -1,19 +1,18 @@
 // The api::Database facade: prepare-once/execute-many result identity
 // against the hand-wired stage pipeline, plan-cache semantics (normalized
 // keys, hit/miss counters, invalidation on a dataset swap — graph writes
-// and a statistics refresh keep entries and handles), pending writes on
-// the master graph, the error taxonomy, and the ExecOptions precedence
-// rule (explicit setter > environment > default).
+// keep entries and handles), pending writes on the master graph, the
+// error taxonomy, and the ExecOptions precedence rule (explicit setter >
+// environment > default), with ExecOptions::FromEnv() as the only reader
+// of the GQOPT_* query knobs.
 //
-// tools/run_tier1.sh re-runs this suite with GQOPT_PLAN_CACHE=0 and =1:
-// every assertion about cache behavior therefore pins the enabled state
-// explicitly instead of relying on the environment default.
+// The environment reaches this suite only through FromEnv()
+// (CachedVsColdWorkloadTest), which tools/run_tier1.sh re-runs under
+// GQOPT_DOP=4 and GQOPT_PLANNER=greedy.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "api/database.h"
@@ -23,6 +22,7 @@
 #include "datasets/yago.h"
 #include "eval/graph_engine.h"
 #include "graph/consistency.h"
+#include "test_fixtures.h"
 #include "util/exec_context.h"
 
 namespace gqopt {
@@ -35,28 +35,7 @@ using api::PlanCacheStats;
 using api::PreparedQueryPtr;
 using api::QueryStage;
 using api::Session;
-
-// Saves an environment variable and restores it on scope exit, so the
-// precedence tests cannot leak state into later tests (or the ambient
-// GQOPT_PLANNER/GQOPT_PLAN_CACHE of a tier-1 re-run).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
+using testing::ScopedEnv;
 
 std::vector<std::vector<NodeId>> HandWiredRows(const Database& db,
                                                const std::string& text) {
@@ -95,7 +74,6 @@ TEST(ApiTest, PrepareOnceExecuteManyMatchesHandWiredPipeline) {
 
 TEST(ApiTest, WhitespaceVariantIsACacheHit) {
   Database db(YagoSchema(), GenerateYago({.persons = 40}));
-  db.set_plan_cache_enabled(true);  // explicit: wins over GQOPT_PLAN_CACHE
   ExecOptions options;
 
   bool hit = true;
@@ -120,7 +98,6 @@ TEST(ApiTest, WhitespaceVariantIsACacheHit) {
 
 TEST(ApiTest, PlanKnobsKeyTheCacheSeparately) {
   Database db(YagoSchema(), GenerateYago({.persons = 40}));
-  db.set_plan_cache_enabled(true);
   const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
 
   ExecOptions dp;
@@ -140,36 +117,37 @@ TEST(ApiTest, PlanKnobsKeyTheCacheSeparately) {
 
 TEST(ApiTest, DisabledCacheNeverHitsAndStoresNothing) {
   Database db(YagoSchema(), GenerateYago({.persons = 40}));
-  db.set_plan_cache_enabled(false);  // explicit: wins over GQOPT_PLAN_CACHE
-  ExecOptions options;
+  ExecOptions bypass;
+  bypass.use_plan_cache = false;
   const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
 
   bool hit = true;
-  auto a = db.Prepare(text, options, &hit);
+  auto a = db.Prepare(text, bypass, &hit);
   ASSERT_TRUE(a.ok());
   EXPECT_FALSE(hit);
-  auto b = db.Prepare(text, options, &hit);
+  auto b = db.Prepare(text, bypass, &hit);
   ASSERT_TRUE(b.ok());
   EXPECT_FALSE(hit);
   EXPECT_NE(a->get(), b->get());
 
   PlanCacheStats stats = db.plan_cache_stats();
-  EXPECT_FALSE(stats.enabled);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.entries, 0u);
 
-  // Per-call bypass with the cache enabled: nothing is stored either.
-  db.set_plan_cache_enabled(true);
-  ExecOptions bypass;
-  bypass.use_plan_cache = false;
-  ASSERT_TRUE(db.Prepare(text, bypass, &hit).ok());
+  // Once a caching session stored the plan, a bypassing prepare still
+  // plans afresh instead of hitting it.
+  auto cached = db.Prepare(text, ExecOptions(), &hit);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(db.plan_cache_stats().entries, 1u);
+  auto c = db.Prepare(text, bypass, &hit);
+  ASSERT_TRUE(c.ok());
   EXPECT_FALSE(hit);
-  EXPECT_EQ(db.plan_cache_stats().entries, 0u);
+  EXPECT_NE(c->get(), cached->get());
+  EXPECT_EQ(db.plan_cache_stats().hits, 0u);
 }
 
 TEST(ApiTest, GraphWritesKeepCacheAndHandles) {
   Database db(YagoSchema(), GenerateYago({.persons = 40}));
-  db.set_plan_cache_enabled(true);
   Session session(db);
   const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
   auto prepared = session.Prepare(text);
@@ -280,7 +258,6 @@ TEST(ApiTest, PendingWritesAreOnTheMasterGraph) {
 
 TEST(ApiTest, DatasetSwapInvalidatesCacheAndHandles) {
   Database db(YagoSchema(), GenerateYago({.persons = 40}));
-  db.set_plan_cache_enabled(true);
   Session session(db);
   auto prepared = session.Prepare("x1, x2 <- (x1, owns/isLocatedIn, x2)");
   ASSERT_TRUE(prepared.ok());
@@ -294,30 +271,6 @@ TEST(ApiTest, DatasetSwapInvalidatesCacheAndHandles) {
   auto fresh = session.Prepare("x1, x2 <- (x1, knows/workAt, x2)");
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   EXPECT_TRUE((*fresh)->Execute(session).ok());
-}
-
-TEST(ApiTest, StatisticsRefreshKeepsCacheAndHandles) {
-  Database db(YagoSchema(), GenerateYago({.persons = 40}));
-  db.set_plan_cache_enabled(true);
-  Session session(db);
-  const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
-  auto prepared = session.Prepare(text);
-  ASSERT_TRUE(prepared.ok());
-  EXPECT_EQ(db.plan_cache_stats().entries, 1u);
-
-  db.RefreshStatistics();
-  // The data did not change and neither generation moved: outstanding
-  // handles stay executable AND cached entries keep serving — a refresh
-  // only re-collects the statistics behind the next snapshot. Estimates
-  // recompute from the same graph, so the cached plans stay costed
-  // correctly.
-  EXPECT_EQ(db.plan_cache_stats().entries, 1u);
-  EXPECT_TRUE((*prepared)->Execute(session).ok());
-  bool hit = false;
-  auto again = db.Prepare(text, session.options(), &hit);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(prepared->get(), again->get());
 }
 
 TEST(ApiTest, ErrorTaxonomyDistinguishesStages) {
@@ -401,6 +354,37 @@ TEST(ApiTest, ExecOptionsExplicitSettersBeatEnvironment) {
   EXPECT_EQ(from_env.planner, PlannerKind::kDp);
 }
 
+// GQOPT_DOP, GQOPT_PLANNER and GQOPT_PLAN_CACHE have one reader,
+// ExecOptions::FromEnv(): the structs below the facade and a Database
+// built while they are set keep their defaults.
+TEST(ApiTest, QueryKnobsHaveOneReader) {
+  const int env_dop = DefaultDop() == 2 ? 3 : 2;
+  const std::string env_dop_text = std::to_string(env_dop);
+  ScopedEnv dop("GQOPT_DOP", env_dop_text.c_str());
+  ScopedEnv planner("GQOPT_PLANNER", "greedy");
+  ScopedEnv cache("GQOPT_PLAN_CACHE", "0");
+
+  EXPECT_EQ(ExecOptions().dop, DefaultDop());
+  EXPECT_EQ(ExecOptions().planner, PlannerKind::kDp);
+  EXPECT_TRUE(ExecOptions().use_plan_cache);
+  EXPECT_EQ(ExecContext().dop, DefaultDop());
+  EXPECT_EQ(OptimizerOptions().dop, DefaultDop());
+  EXPECT_EQ(OptimizerOptions().planner, PlannerKind::kDp);
+
+  Database db(YagoSchema(), GenerateYago({.persons = 40}));
+  Session session(db);
+  const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
+  ASSERT_TRUE(session.Query(text).ok());
+  auto warm = session.Query(text);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm->plan_cache_hit);
+
+  ExecOptions from_env = ExecOptions::FromEnv();
+  EXPECT_EQ(from_env.dop, env_dop);
+  EXPECT_EQ(from_env.planner, PlannerKind::kGreedy);
+  EXPECT_FALSE(from_env.use_plan_cache);
+}
+
 TEST(ApiTest, UnsatisfiableQueryExecutesToEmptyResult) {
   Database db(YagoSchema(), GenerateYago({.persons = 40}));
   Session session(db);
@@ -416,7 +400,6 @@ TEST(ApiTest, UnsatisfiableQueryExecutesToEmptyResult) {
 
 TEST(ApiTest, SessionQueryReportsCacheHits) {
   Database db(YagoSchema(), GenerateYago({.persons = 40}));
-  db.set_plan_cache_enabled(true);
   Session session(db);
   const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
   auto cold = session.Query(text);
@@ -435,7 +418,6 @@ class CachedVsColdWorkloadTest : public ::testing::Test {
   void CheckWorkload(const std::vector<WorkloadQuery>& workload,
                      const GraphSchema& schema, PropertyGraph graph) {
     Database db(schema, std::move(graph));
-    db.set_plan_cache_enabled(true);
     ExecOptions options = ExecOptions::FromEnv();
     options.timeout_ms = 0;  // correctness sweep, no deadline
     options.use_plan_cache = true;

@@ -2,6 +2,7 @@
 // byte-identical results to the retained naive reference implementations
 // (eval/naive_reference.h) on randomized graphs and on the structural edge
 // cases (empty relations, self-loops, folded multi-column join keys).
+// Closures and plans run serially and at dop 4, which must agree exactly.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +17,36 @@
 #include "ra/catalog.h"
 #include "ra/executor.h"
 #include "ra/ra_expr.h"
+#include "util/exec_context.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace gqopt {
 namespace {
+
+// A pool with enough workers for dop=4 even on single-core CI boxes.
+ThreadPool& TestPool() {
+  static ThreadPool pool(3);
+  return pool;
+}
+
+ExecContext At(int dop) {
+  ExecContext ctx;
+  ctx.dop = dop;
+  ctx.pool = &TestPool();
+  return ctx;
+}
+
+// The closure of `r` at dop 1, checked bit-identical to the dop-4 run.
+Result<BinaryRelation> Closure(const BinaryRelation& r) {
+  auto serial = BinaryRelation::TransitiveClosure(r, At(1));
+  auto parallel = BinaryRelation::TransitiveClosure(r, At(4));
+  EXPECT_EQ(serial.ok(), parallel.ok());
+  if (serial.ok() && parallel.ok()) {
+    EXPECT_EQ(serial->pairs(), parallel->pairs());
+  }
+  return serial;
+}
 
 BinaryRelation RandomRelation(size_t nodes, size_t edges, uint64_t seed) {
   Rng rng(seed);
@@ -106,7 +133,7 @@ TEST(CsrDifferentialTest, SparseHugeIdsFallBackToBinarySearch) {
   EXPECT_EQ(composed->pairs(),
             (std::vector<Edge>{{1, 6}, {2, 7}, {2, 9}}));
 
-  auto closure = BinaryRelation::TransitiveClosure(b);
+  auto closure = Closure(b);
   ASSERT_TRUE(closure.ok());
   EXPECT_EQ(closure->pairs(), naive::TransitiveClosure(b).pairs());
 
@@ -132,15 +159,14 @@ TEST(CsrDifferentialTest, TransitiveClosureMatchesNaive) {
     // Sparse and denser regimes, plus chains with self-loops.
     size_t n = 30 + seed * 17;
     BinaryRelation r = RandomRelation(n, n + seed * 40, seed + 11);
-    auto fast = BinaryRelation::TransitiveClosure(r);
+    auto fast = Closure(r);
     ASSERT_TRUE(fast.ok());
     EXPECT_EQ(fast->pairs(), naive::TransitiveClosure(r).pairs())
         << "seed " << seed;
   }
   BinaryRelation loops = BinaryRelation::FromPairs({{0, 0}, {0, 1}, {1, 0}});
-  EXPECT_EQ(BinaryRelation::TransitiveClosure(loops)->pairs(),
-            naive::TransitiveClosure(loops).pairs());
-  EXPECT_TRUE(BinaryRelation::TransitiveClosure(BinaryRelation())->empty());
+  EXPECT_EQ(Closure(loops)->pairs(), naive::TransitiveClosure(loops).pairs());
+  EXPECT_TRUE(Closure(BinaryRelation())->empty());
 }
 
 TEST(CsrDifferentialTest, SemiJoinsMatchNaive) {
@@ -190,11 +216,18 @@ PropertyGraph RandomGraph(size_t nodes, size_t edges_per_label,
   return graph;
 }
 
+// Runs `plan` at dop 1, checked bit-identical to the dop-4 run (on a
+// fresh executor: a shared one would serve the second run from its memo).
 Table RunPlan(const Catalog& catalog, const RaExprPtr& plan) {
-  Executor executor(catalog);
-  auto result = executor.Run(plan);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? *result : Table{};
+  auto serial = Executor(catalog).Run(plan, At(1));
+  auto parallel = Executor(catalog).Run(plan, At(4));
+  EXPECT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_TRUE(parallel.ok()) << parallel.status().ToString();
+  if (!serial.ok()) return Table{};
+  if (parallel.ok()) {
+    EXPECT_EQ(serial->data(), parallel->data());
+  }
+  return *serial;
 }
 
 TEST(ExecutorDifferentialTest, SingleColumnJoinMatchesNaive) {

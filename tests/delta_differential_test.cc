@@ -3,7 +3,7 @@
 // BIT-IDENTICAL — same columns, same rows, same row order — to executing
 // against the fully COMPACTED graph, across join strategies chosen by
 // both planners, unseeded and seeded closures, top-k, at dop 1 and 4,
-// with the plan cache on and off, and in low-memory mode. Plus the plan
+// and with the plan cache on and off. Plus the plan
 // retention contract: a data mutation keeps unrelated cached plans
 // serving by pointer identity, re-plans only past the drift threshold,
 // and retained handles observe the freshly written rows.
@@ -83,29 +83,25 @@ TEST(DeltaDifferentialTest, OverlayIsBitIdenticalToCompactedExecution) {
   for (PlannerKind planner : {PlannerKind::kDp, PlannerKind::kGreedy}) {
     for (int dop : {1, 4}) {
       for (bool cache : {false, true}) {
-        for (bool low_memory : {false, true}) {
-          ExecOptions options;
-          options.planner = planner;
-          options.dop = dop;
-          options.use_plan_cache = cache;
-          options.low_memory = low_memory;
-          options.timeout_ms = 0;  // correctness sweep, no deadline
-          Session overlay_session(overlay, options);
-          Session compacted_session(compacted, options);
-          for (const char* query : kQueries) {
-            SCOPED_TRACE(std::string(query) + " planner=" +
-                         (planner == PlannerKind::kDp ? "dp" : "greedy") +
-                         " dop=" + std::to_string(dop) +
-                         " cache=" + std::to_string(cache) +
-                         " low_mem=" + std::to_string(low_memory));
-            auto live = overlay_session.Query(query);
-            ASSERT_TRUE(live.ok()) << live.status().ToString();
-            auto exact = compacted_session.Query(query);
-            ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-            // data() compares raw row-major storage: rows AND row order.
-            EXPECT_EQ(live->table.columns(), exact->table.columns());
-            EXPECT_EQ(live->table.data(), exact->table.data());
-          }
+        ExecOptions options;
+        options.planner = planner;
+        options.dop = dop;
+        options.use_plan_cache = cache;
+        options.timeout_ms = 0;  // correctness sweep, no deadline
+        Session overlay_session(overlay, options);
+        Session compacted_session(compacted, options);
+        for (const char* query : kQueries) {
+          SCOPED_TRACE(std::string(query) + " planner=" +
+                       (planner == PlannerKind::kDp ? "dp" : "greedy") +
+                       " dop=" + std::to_string(dop) +
+                       " cache=" + std::to_string(cache));
+          auto live = overlay_session.Query(query);
+          ASSERT_TRUE(live.ok()) << live.status().ToString();
+          auto exact = compacted_session.Query(query);
+          ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+          // data() compares raw row-major storage: rows AND row order.
+          EXPECT_EQ(live->table.columns(), exact->table.columns());
+          EXPECT_EQ(live->table.data(), exact->table.data());
         }
       }
     }
@@ -135,7 +131,6 @@ TEST(DeltaDifferentialTest, CompactionPreservesAnswersMidStream) {
 
 TEST(DeltaDifferentialTest, DataMutationRetainsUnrelatedCachedPlans) {
   Database db(YagoSchema(), GenerateYago({.persons = 50, .seed = 33}));
-  db.set_plan_cache_enabled(true);
   db.set_delta_merge_rows(1u << 20);
   Session session(db);
   const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
@@ -162,7 +157,6 @@ TEST(DeltaDifferentialTest, DataMutationRetainsUnrelatedCachedPlans) {
 
 TEST(DeltaDifferentialTest, CardinalityDriftPastThresholdReplans) {
   Database db(YagoSchema(), GenerateYago({.persons = 30, .seed = 35}));
-  db.set_plan_cache_enabled(true);
   db.set_delta_merge_rows(1u << 20);
   db.set_plan_drift_threshold(2.0);
   Session session(db);
@@ -195,7 +189,6 @@ TEST(DeltaDifferentialTest, CardinalityDriftPastThresholdReplans) {
 
 TEST(DeltaDifferentialTest, RetainedHandleObservesFreshRows) {
   Database db(YagoSchema(), GenerateYago({.persons = 30, .seed = 41}));
-  db.set_plan_cache_enabled(true);
   db.set_delta_merge_rows(1u << 20);
   Session session(db);
   auto prepared = session.Prepare("x1, x2 <- (x1, owns, x2)");
@@ -221,7 +214,6 @@ TEST(DeltaDifferentialTest, SchemaGenerationStillInvalidatesEverything) {
   // The generation split's other half: Use() (a schema/dataset swap)
   // keeps full invalidation semantics, pending writes or not.
   Database db(YagoSchema(), GenerateYago({.persons = 30, .seed = 43}));
-  db.set_plan_cache_enabled(true);
   Session session(db);
   auto prepared = session.Prepare("x1, x2 <- (x1, owns/isLocatedIn, x2)");
   ASSERT_TRUE(prepared.ok());

@@ -2,20 +2,18 @@
 // (docs/ROBUSTNESS.md): a tight GQOPT_MEM_LIMIT aborts execution with the
 // typed "resource: " status (never a bad_alloc or an OOM kill), a
 // generous or absent budget returns bit-identical results, the injected
-// kMemReserve fault drives the same abort path deterministically, the
-// low-memory degradation rung changes plans but never results, and the
+// kMemReserve fault drives the same abort path deterministically, and the
 // plan cache respects its byte budget.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "api/database.h"
 #include "api/server.h"
 #include "datasets/yago.h"
 #include "ra/explain.h"
+#include "test_fixtures.h"
 #include "util/fault_injection.h"
 #include "util/mem_tracker.h"
 
@@ -29,29 +27,11 @@ using api::PreparedQueryPtr;
 using api::QueryStage;
 using api::Server;
 using api::Session;
+using testing::ScopedEnv;
 
 constexpr const char* kClosureQuery =
     "x1, x2 <- (x1, livesIn/isLocatedIn+/dealsWith+, x2)";
 constexpr const char* kJoinQuery = "x1, x2 <- (x1, worksAt/isLocatedIn, x2)";
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 TEST(MemoryGovernanceTest, TightBudgetAbortsWithTypedResourceError) {
   Database db(YagoSchema(), GenerateYago({.persons = 200, .seed = 11}));
@@ -103,38 +83,6 @@ TEST(MemoryGovernanceTest, InjectedReservationFaultIsTypedAndClean) {
   // no residue in the database (trackers are per-execution).
   auto after = session.Query(kJoinQuery);
   EXPECT_TRUE(after.ok()) << after.status().ToString();
-}
-
-TEST(MemoryGovernanceTest, LowMemoryModeKeepsResultsIdentical) {
-  Database db(YagoSchema(), GenerateYago({.persons = 150, .seed = 9}));
-  Session regular(db);
-  ExecOptions low;
-  low.low_memory = true;
-  low.dop = 4;
-  Session degraded(db, low);
-  for (const char* query : {kClosureQuery, kJoinQuery}) {
-    auto a = regular.Query(query);
-    auto b = degraded.Query(query);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a->SortedRows(), b->SortedRows()) << query;
-  }
-}
-
-TEST(MemoryGovernanceTest, LowMemoryIsPartOfThePlanCacheKey) {
-  Database db(YagoSchema(), GenerateYago({.persons = 40}));
-  db.set_plan_cache_enabled(true);
-  ExecOptions options;
-  bool hit = true;
-  ASSERT_TRUE(db.Prepare(kJoinQuery, options, &hit).ok());
-  EXPECT_FALSE(hit);
-  // Same text, low-memory planning: must NOT reuse the full-fidelity
-  // plan — the option changes join strategies.
-  options.low_memory = true;
-  ASSERT_TRUE(db.Prepare(kJoinQuery, options, &hit).ok());
-  EXPECT_FALSE(hit);
-  ASSERT_TRUE(db.Prepare(kJoinQuery, options, &hit).ok());
-  EXPECT_TRUE(hit);
 }
 
 TEST(MemoryGovernanceTest, EstimateAndPeakAreObservable) {
@@ -197,24 +145,8 @@ TEST(MemoryGovernanceTest, ResourceErrorsAreNotRetryable) {
   EXPECT_TRUE(Server::IsRetryable(shed));
 }
 
-TEST(MemoryGovernanceTest, MemoryPressureEngagesLowMemoryRung) {
-  EXPECT_EQ(Server::MemoryPressureLevel(0, 0), 0);  // unbounded
-  EXPECT_EQ(Server::MemoryPressureLevel(100, 1000), 0);
-  EXPECT_EQ(Server::MemoryPressureLevel(500, 1000), 1);
-  EXPECT_EQ(Server::MemoryPressureLevel(750, 1000), 2);
-
-  ExecOptions options;
-  auto report = Server::ApplyDegradation(0, /*memory_level=*/1, &options);
-  EXPECT_TRUE(options.low_memory);
-  EXPECT_TRUE(report.low_memory);
-  EXPECT_TRUE(report.any());
-  EXPECT_NE(report.Summary().find("low-memory"), std::string::npos);
-  EXPECT_NE(report.Summary().find("memory pressure 1"), std::string::npos);
-}
-
 TEST(MemoryGovernanceTest, PlanCacheRespectsByteBudget) {
   Database db(YagoSchema(), GenerateYago({.persons = 30}));
-  db.set_plan_cache_enabled(true);
   db.set_plan_cache_memory_capacity(1);  // absurdly small: keep newest only
   std::string q1 = "x1, x2 <- (x1, owns, x2)";
   std::string q2 = "x1, x2 <- (x1, livesIn, x2)";

@@ -1,5 +1,6 @@
 // Optimizer rule tests: identity-projection removal, Distinct collapsing,
-// join-cluster reordering and fixpoint seeding.
+// join-cluster reordering and fixpoint seeding. Every case runs under both
+// join-order planners (the DP enumerator and the greedy pass).
 
 #include <gtest/gtest.h>
 
@@ -34,94 +35,101 @@ bool HasSeededClosure(const RaExprPtr& e) {
   return HasSeededClosure(e->left()) || HasSeededClosure(e->right());
 }
 
-class OptimizerTest : public ::testing::Test {
+class OptimizerTest : public ::testing::TestWithParam<PlannerKind> {
  protected:
   OptimizerTest() : graph_(testing::Fig2Graph()), catalog_(graph_) {}
+
+  // The default options under the planner this case runs with.
+  OptimizerOptions Options() const {
+    OptimizerOptions options;
+    options.planner = GetParam();
+    return options;
+  }
 
   PropertyGraph graph_;
   Catalog catalog_;
 };
 
-TEST_F(OptimizerTest, RemovesIdentityProjection) {
+TEST_P(OptimizerTest, RemovesIdentityProjection) {
   RaExprPtr scan = RaExpr::EdgeScan("owns", "a", "b");
   RaExprPtr plan =
       RaExpr::Project(scan, {{"a", "a"}, {"b", "b"}});
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   EXPECT_EQ(optimized.get(), scan.get());
 }
 
-TEST_F(OptimizerTest, KeepsRenamingProjection) {
+TEST_P(OptimizerTest, KeepsRenamingProjection) {
   RaExprPtr plan = RaExpr::Project(RaExpr::EdgeScan("owns", "a", "b"),
                                    {{"a", "x"}, {"b", "b"}});
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   EXPECT_EQ(optimized->op(), RaOp::kProject);
 }
 
-TEST_F(OptimizerTest, KeepsReorderingProjection) {
+TEST_P(OptimizerTest, KeepsReorderingProjection) {
   // Same names but swapped order is NOT an identity.
   RaExprPtr plan = RaExpr::Project(RaExpr::EdgeScan("owns", "a", "b"),
                                    {{"b", "b"}, {"a", "a"}});
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   EXPECT_EQ(optimized->op(), RaOp::kProject);
 }
 
-TEST_F(OptimizerTest, CollapsesNestedDistinct) {
+TEST_P(OptimizerTest, CollapsesNestedDistinct) {
   RaExprPtr plan = RaExpr::Distinct(
       RaExpr::Distinct(RaExpr::EdgeScan("owns", "a", "b")));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   EXPECT_EQ(CountOp(optimized, RaOp::kDistinct), 1u);
 }
 
-TEST_F(OptimizerTest, CollapsesDistinctThroughIdentityProject) {
+TEST_P(OptimizerTest, CollapsesDistinctThroughIdentityProject) {
   RaExprPtr inner = RaExpr::Distinct(RaExpr::EdgeScan("owns", "a", "b"));
   RaExprPtr plan = RaExpr::Distinct(
       RaExpr::Project(inner, {{"a", "a"}, {"b", "b"}}));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   EXPECT_EQ(CountOp(optimized, RaOp::kDistinct), 1u);
 }
 
-TEST_F(OptimizerTest, SeedsClosureJoinedOnSource) {
+TEST_P(OptimizerTest, SeedsClosureJoinedOnSource) {
   RaExprPtr plan = RaExpr::Join(
       RaExpr::EdgeScan("owns", "x", "z"),
       RaExpr::TransitiveClosure(RaExpr::EdgeScan("isLocatedIn", "z", "y"),
                                 "z", "y"));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   EXPECT_TRUE(HasSeededClosure(optimized)) << optimized->ToString();
 }
 
-TEST_F(OptimizerTest, SeedingCanBeDisabled) {
+TEST_P(OptimizerTest, SeedingCanBeDisabled) {
   RaExprPtr plan = RaExpr::Join(
       RaExpr::EdgeScan("owns", "x", "z"),
       RaExpr::TransitiveClosure(RaExpr::EdgeScan("isLocatedIn", "z", "y"),
                                 "z", "y"));
-  OptimizerOptions options;
+  OptimizerOptions options = Options();
   options.enable_fixpoint_seeding = false;
   RaExprPtr optimized = OptimizePlan(plan, catalog_, options);
   EXPECT_FALSE(HasSeededClosure(optimized));
 }
 
-TEST_F(OptimizerTest, DoesNotSeedDisconnectedClosure) {
+TEST_P(OptimizerTest, DoesNotSeedDisconnectedClosure) {
   // The closure shares no column with the other conjunct.
   RaExprPtr plan = RaExpr::Join(
       RaExpr::EdgeScan("owns", "x", "z"),
       RaExpr::TransitiveClosure(RaExpr::EdgeScan("isLocatedIn", "p", "q"),
                                 "p", "q"));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   EXPECT_FALSE(HasSeededClosure(optimized));
 }
 
-TEST_F(OptimizerTest, AlreadySeededClosureIsLeftAlone) {
+TEST_P(OptimizerTest, AlreadySeededClosureIsLeftAlone) {
   RaExprPtr seed = RaExpr::NodeScan({"PROPERTY"}, "z");
   RaExprPtr tc = RaExpr::TransitiveClosure(
       RaExpr::EdgeScan("isLocatedIn", "z", "y"), "z", "y", seed,
       SeedSide::kSource);
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "z"), tc);
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   // Still exactly one closure, still source-seeded by the node scan.
   EXPECT_EQ(CountOp(optimized, RaOp::kTransitiveClosure), 1u);
 }
 
-TEST_F(OptimizerTest, OptimizationPreservesResults) {
+TEST_P(OptimizerTest, OptimizationPreservesResults) {
   for (const char* text : {
            "x, y <- (x, owns/isLocatedIn+, y)",
            "x, y <- (x, livesIn/isLocatedIn/isLocatedIn, y)",
@@ -137,7 +145,7 @@ TEST_F(OptimizerTest, OptimizationPreservesResults) {
     auto raw = executor.Run(*plan);
     ASSERT_TRUE(raw.ok()) << text;
     for (bool seeding : {false, true}) {
-      OptimizerOptions options;
+      OptimizerOptions options = Options();
       options.enable_fixpoint_seeding = seeding;
       auto optimized = executor.Run(OptimizePlan(*plan, catalog_, options));
       ASSERT_TRUE(optimized.ok()) << text;
@@ -150,24 +158,24 @@ TEST_F(OptimizerTest, OptimizationPreservesResults) {
   }
 }
 
-TEST_F(OptimizerTest, JoinReorderingKeepsColumns) {
+TEST_P(OptimizerTest, JoinReorderingKeepsColumns) {
   auto query = ParseUcqt(
       "x <- (x, owns, z), (z, isLocatedIn, c), (x, livesIn, c2)");
   ASSERT_TRUE(query.ok());
   auto plan = UcqtToRa(*query);
   ASSERT_TRUE(plan.ok());
-  RaExprPtr optimized = OptimizePlan(*plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(*plan, catalog_, Options());
   EXPECT_EQ(optimized->columns(), (*plan)->columns());
 }
 
-TEST_F(OptimizerTest, EstimatorOrdersSelectiveScansFirst) {
+TEST_P(OptimizerTest, EstimatorOrdersSelectiveScansFirst) {
   // In a cluster {owns (1 row), isLocatedIn (4 rows)}, the greedy order
   // starts from the smaller relation; verify via the shape: left-most leaf
   // of the join tree is the owns scan.
   RaExprPtr plan = RaExpr::Join(
       RaExpr::EdgeScan("isLocatedIn", "z", "y"),
       RaExpr::EdgeScan("owns", "x", "z"));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   const RaExpr* leftmost = optimized.get();
   while (leftmost->left()) leftmost = leftmost->left().get();
   EXPECT_EQ(leftmost->label(), "owns");
@@ -175,7 +183,7 @@ TEST_F(OptimizerTest, EstimatorOrdersSelectiveScansFirst) {
 
 // ---- Physical properties and join-strategy annotation ---------------------
 
-TEST_F(OptimizerTest, SortedPrefixPropagatesBottomUp) {
+TEST_P(OptimizerTest, SortedPrefixPropagatesBottomUp) {
   RaExprPtr scan = RaExpr::EdgeScan("owns", "x", "y");
   EXPECT_EQ(scan->sorted_prefix(), 2u);
   EXPECT_EQ(RaExpr::NodeScan({"PERSON"}, "n")->sorted_prefix(), 1u);
@@ -192,26 +200,26 @@ TEST_F(OptimizerTest, SortedPrefixPropagatesBottomUp) {
   EXPECT_EQ(RaExpr::TransitiveClosure(scan, "x", "y")->sorted_prefix(), 2u);
 }
 
-TEST_F(OptimizerTest, AnnotatesOffsetJoin) {
+TEST_P(OptimizerTest, AnnotatesOffsetJoin) {
   // Chain join: the right side is sorted on the single shared column.
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "z"),
                                 RaExpr::EdgeScan("isLocatedIn", "z", "y"));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   std::string explain = ExplainPlan(optimized, catalog_);
   EXPECT_NE(explain.find("[offset]"), std::string::npos) << explain;
 }
 
-TEST_F(OptimizerTest, AnnotatesMergeJoinOnMultiColumnKeys) {
+TEST_P(OptimizerTest, AnnotatesMergeJoinOnMultiColumnKeys) {
   // Both sides sorted with the two shared columns leading: a shape the
   // bool-based detection could only hash (it required one shared column).
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "y"),
                                 RaExpr::EdgeScan("livesIn", "x", "y"));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   std::string explain = ExplainPlan(optimized, catalog_);
   EXPECT_NE(explain.find("[merge]"), std::string::npos) << explain;
 }
 
-TEST_F(OptimizerTest, ColumnDroppingProjectionStillJoinsViaOffset) {
+TEST_P(OptimizerTest, ColumnDroppingProjectionStillJoinsViaOffset) {
   // Distinct(Project(keep leading column)) stays sorted under the prefix
   // model, so the join is annotated [offset] — the bool model lost
   // sortedness on projection and hashed this shape.
@@ -220,18 +228,19 @@ TEST_F(OptimizerTest, ColumnDroppingProjectionStillJoinsViaOffset) {
   EXPECT_EQ(proj->sorted_prefix(), 1u);
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "z"),
                                 RaExpr::Distinct(proj));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   std::string explain = ExplainPlan(optimized, catalog_);
   EXPECT_NE(explain.find("[offset]"), std::string::npos) << explain;
 }
 
-TEST_F(OptimizerTest, HashFallbackPicksRadixBySize) {
+TEST_P(OptimizerTest, HashFallbackPicksRadixBySize) {
   // Shared column is trailing on both sides: hash join. On the tiny
   // Fig 2 catalog the estimated build is small => flat; on a bulk graph
   // it crosses the radix threshold.
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "z"),
                                 RaExpr::EdgeScan("livesIn", "y", "z"));
-  std::string small = ExplainPlan(OptimizePlan(plan, catalog_), catalog_);
+  std::string small =
+      ExplainPlan(OptimizePlan(plan, catalog_, Options()), catalog_);
   EXPECT_NE(small.find("[flat-hash"), std::string::npos) << small;
 
   Rng rng(23);
@@ -244,12 +253,12 @@ TEST_F(OptimizerTest, HashFallbackPicksRadixBySize) {
                       static_cast<NodeId>(rng.Uniform(1000)));
   }
   Catalog big_catalog(big);
-  std::string large = ExplainPlan(OptimizePlan(plan, big_catalog),
+  std::string large = ExplainPlan(OptimizePlan(plan, big_catalog, Options()),
                                   big_catalog);
   EXPECT_NE(large.find("[radix-hash"), std::string::npos) << large;
 }
 
-TEST_F(OptimizerTest, AnnotatesParallelismHint) {
+TEST_P(OptimizerTest, AnnotatesParallelismHint) {
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "z"),
                                 RaExpr::EdgeScan("livesIn", "y", "z"));
   Rng rng(29);
@@ -266,14 +275,14 @@ TEST_F(OptimizerTest, AnnotatesParallelismHint) {
   // Planning for dop 8 over inputs above the parallel row threshold:
   // the hash join is annotated with the predicted parallelism, printed
   // inside the strategy bracket.
-  OptimizerOptions parallel;
+  OptimizerOptions parallel = Options();
   parallel.dop = 8;
   std::string hinted =
       ExplainPlan(OptimizePlan(plan, big_catalog, parallel), big_catalog);
   EXPECT_NE(hinted.find("[radix-hash p=8]"), std::string::npos) << hinted;
 
   // Serial planning, pinned explicitly with dop = 1, never prints p=.
-  OptimizerOptions serial;
+  OptimizerOptions serial = Options();
   serial.dop = 1;
   std::string unhinted =
       ExplainPlan(OptimizePlan(plan, big_catalog, serial), big_catalog);
@@ -286,18 +295,18 @@ TEST_F(OptimizerTest, AnnotatesParallelismHint) {
   EXPECT_EQ(small.find("p="), std::string::npos) << small;
 }
 
-TEST_F(OptimizerTest, ExplainShowsOrderingProperty) {
+TEST_P(OptimizerTest, ExplainShowsOrderingProperty) {
   RaExprPtr plan = RaExpr::EdgeScan("owns", "x", "y");
   std::string explain = ExplainPlan(plan, catalog_);
   EXPECT_NE(explain.find("sorted = 2"), std::string::npos) << explain;
 }
 
-TEST_F(OptimizerTest, FusesLimitOverSortIntoTopK) {
+TEST_P(OptimizerTest, FusesLimitOverSortIntoTopK) {
   RaExprPtr plan = RaExpr::Limit(
       RaExpr::Sort(RaExpr::EdgeScan("owns", "x", "y"),
                    {{"y", true}}),
       5);
-  RaExprPtr optimized = OptimizePlan(plan, catalog_);
+  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
   EXPECT_EQ(optimized->op(), RaOp::kTopK);
   EXPECT_EQ(optimized->limit(), 5u);
   ASSERT_EQ(optimized->sort_keys().size(), 1u);
@@ -306,38 +315,45 @@ TEST_F(OptimizerTest, FusesLimitOverSortIntoTopK) {
   EXPECT_EQ(CountOp(optimized, RaOp::kSort), 0u);
 }
 
-TEST_F(OptimizerTest, ElidesSortWhenOrderAlreadyDelivered) {
+TEST_P(OptimizerTest, ElidesSortWhenOrderAlreadyDelivered) {
   // EdgeScan output is fully sorted ascending on (x, y): an ascending
   // Sort on the leading prefix is a no-op and disappears.
   RaExprPtr scan = RaExpr::EdgeScan("owns", "x", "y");
   RaExprPtr optimized =
-      OptimizePlan(RaExpr::Sort(scan, {{"x", false}}), catalog_);
+      OptimizePlan(RaExpr::Sort(scan, {{"x", false}}), catalog_, Options());
   EXPECT_EQ(optimized.get(), scan.get());
   // A descending request is NOT delivered; the Sort must stay.
   RaExprPtr kept =
-      OptimizePlan(RaExpr::Sort(scan, {{"x", true}}), catalog_);
+      OptimizePlan(RaExpr::Sort(scan, {{"x", true}}), catalog_, Options());
   EXPECT_EQ(kept->op(), RaOp::kSort);
 }
 
-TEST_F(OptimizerTest, DowngradesTopKToLimitWhenOrderDelivered) {
+TEST_P(OptimizerTest, DowngradesTopKToLimitWhenOrderDelivered) {
   RaExprPtr scan = RaExpr::EdgeScan("owns", "x", "y");
   RaExprPtr optimized = OptimizePlan(
-      RaExpr::TopK(scan, {{"x", false}, {"y", false}}, 3), catalog_);
+      RaExpr::TopK(scan, {{"x", false}, {"y", false}}, 3), catalog_, Options());
   EXPECT_EQ(optimized->op(), RaOp::kLimit);
   EXPECT_EQ(optimized->limit(), 3u);
   EXPECT_EQ(optimized->left().get(), scan.get());
 }
 
-TEST_F(OptimizerTest, ExplainAnnotatesTopK) {
+TEST_P(OptimizerTest, ExplainAnnotatesTopK) {
   RaExprPtr plan = RaExpr::Limit(
       RaExpr::Sort(RaExpr::EdgeScan("owns", "x", "y"),
                    {{"y", true}, {"x", false}}),
       4);
   std::string explain =
-      ExplainPlan(OptimizePlan(plan, catalog_), catalog_);
+      ExplainPlan(OptimizePlan(plan, catalog_, Options()), catalog_);
   EXPECT_NE(explain.find("topk k=4"), std::string::npos) << explain;
   EXPECT_NE(explain.find("keys=y desc,x"), std::string::npos) << explain;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Planners, OptimizerTest,
+    ::testing::Values(PlannerKind::kDp, PlannerKind::kGreedy),
+    [](const ::testing::TestParamInfo<PlannerKind>& info) {
+      return info.param == PlannerKind::kDp ? "dp" : "greedy";
+    });
 
 }  // namespace
 }  // namespace gqopt

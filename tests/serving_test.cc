@@ -13,8 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +20,7 @@
 #include "api/database.h"
 #include "api/server.h"
 #include "datasets/yago.h"
+#include "test_fixtures.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -30,24 +29,7 @@ namespace gqopt {
 namespace api {
 namespace {
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
+using testing::ScopedEnv;
 
 // The fault injector is process-global: every test that touches it (or
 // runs under it) goes through this guard so state never leaks between
@@ -139,11 +121,8 @@ TEST(ServingStormTest, ColdStormMatchesSerial) {
 TEST(ServingStormTest, CachedServerStormMatchesSerial) {
   FaultGuard faults;
   Database db(YagoSchema(), GenerateYago({.persons = 120, .seed = 7}));
-  // This test asserts cache hits; pin the cache on (the explicit setter
-  // outranks the GQOPT_PLAN_CACHE=0 tier-1 matrix).
-  db.set_plan_cache_enabled(true);
   ExecOptions options = ExecOptions::FromEnv();
-  options.use_plan_cache = true;
+  options.use_plan_cache = true;  // this test asserts cache hits
   options.timeout_ms = 0;
 
   std::vector<std::vector<std::vector<NodeId>>> baseline(kNumQueries);
@@ -485,7 +464,6 @@ TEST(DegradationTest, ApplyDegradationRungs) {
   EXPECT_FALSE(level1.skipped_rewrite);
   EXPECT_EQ(options.planner, PlannerKind::kGreedy);
   EXPECT_TRUE(options.apply_schema_rewrite);
-  EXPECT_FALSE(options.allow_stale_statistics);
 
   ExecOptions full;
   full.planner = PlannerKind::kDp;
@@ -493,7 +471,6 @@ TEST(DegradationTest, ApplyDegradationRungs) {
   EXPECT_TRUE(level2.greedy_planner);
   EXPECT_TRUE(level2.skipped_rewrite);
   EXPECT_FALSE(full.apply_schema_rewrite);
-  EXPECT_TRUE(full.allow_stale_statistics);
   EXPECT_NE(level2.Summary().find("greedy-planner"), std::string::npos);
   EXPECT_NE(level2.Summary().find("pressure 2"), std::string::npos);
 
@@ -501,58 +478,6 @@ TEST(DegradationTest, ApplyDegradationRungs) {
   ExecOptions greedy;
   greedy.planner = PlannerKind::kGreedy;
   EXPECT_FALSE(Server::ApplyDegradation(1, &greedy).greedy_planner);
-}
-
-// RefreshStatistics retires the publication but keeps the same-generation
-// predecessor: allow_stale_statistics serves it (reported on the handle)
-// instead of stalling on the rebuild.
-TEST(DegradationTest, StaleStatisticsServing) {
-  FaultGuard faults;
-  Database db(YagoSchema(), GenerateYago({.persons = 60, .seed = 7}));
-  ExecOptions options;
-  ASSERT_TRUE(db.Prepare(kQueries[0], options).ok());  // publish a snapshot
-  db.RefreshStatistics();
-
-  bool served_stale = false;
-  SnapshotPtr stale = db.StaleOkSnapshot(&served_stale);
-  EXPECT_TRUE(served_stale);
-  EXPECT_EQ(stale->generation(), db.generation());
-
-  ExecOptions degraded = options;
-  degraded.allow_stale_statistics = true;
-  db.RefreshStatistics();
-  auto prepared = db.Prepare(kQueries[0], degraded);
-  ASSERT_TRUE(prepared.ok());
-  EXPECT_TRUE((*prepared)->stale_statistics());
-
-  auto before = (*prepared)->Execute(Session(db, degraded));
-  ASSERT_TRUE(before.ok()) << before.status().ToString();
-
-  // A write kills the old publication entirely: statistics may be stale,
-  // data never. StaleOkSnapshot rebuilds instead of serving the
-  // pre-write publication, a fresh prepare plans on fresh statistics,
-  // and the handle planned on stale statistics executes on the new data.
-  NodeId person = db.AddNode("PERSON");
-  NodeId property = db.AddNode("PROPERTY");
-  NodeId city = db.AddNode("CITY");
-  ASSERT_TRUE(db.AddEdge(person, "owns", property).ok());
-  ASSERT_TRUE(db.AddEdge(property, "isLocatedIn", city).ok());
-  served_stale = true;
-  SnapshotPtr current = db.StaleOkSnapshot(&served_stale);
-  EXPECT_FALSE(served_stale);
-  EXPECT_EQ(current->data_generation(), db.data_generation());
-  ExecOptions uncached = degraded;
-  uncached.use_plan_cache = false;  // a real prepare, not a retained entry
-  auto fresh = db.Prepare(kQueries[0], uncached);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_FALSE((*fresh)->stale_statistics());
-  auto after = (*prepared)->Execute(Session(db, degraded));
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(after->rows(), before->rows() + 1);
-  auto rows = after->SortedRows();
-  EXPECT_NE(std::find(rows.begin(), rows.end(),
-                      std::vector<NodeId>{person, city}),
-            rows.end());
 }
 
 // ---- Retry and backoff -----------------------------------------------------
@@ -823,7 +748,6 @@ TEST(FaultInjectorTest, ArmFromSpecParsing) {
 TEST(PlanCacheLruTest, EvictsLeastRecentlyUsedAtCapacity) {
   FaultGuard faults;
   Database db(YagoSchema(), GenerateYago({.persons = 60, .seed = 7}));
-  db.set_plan_cache_enabled(true);  // outranks the GQOPT_PLAN_CACHE=0 matrix
   db.set_plan_cache_capacity(2);
   ExecOptions options;
 
@@ -853,7 +777,6 @@ TEST(PlanCacheLruTest, CapacityFromEnvironment) {
   {
     ScopedEnv cap("GQOPT_PLAN_CACHE_CAP", "1");
     Database db(YagoSchema(), GenerateYago({.persons = 60, .seed = 7}));
-    db.set_plan_cache_enabled(true);  // outranks GQOPT_PLAN_CACHE=0
     EXPECT_EQ(db.plan_cache_stats().capacity, 1u);
     ASSERT_TRUE(db.Prepare(kQueries[0], options).ok());
     ASSERT_TRUE(db.Prepare(kQueries[1], options).ok());
@@ -876,7 +799,6 @@ TEST(PlanCacheLruTest, CapacityFromEnvironment) {
 TEST(PlanCacheLruTest, ShrinkingCapacityEvictsImmediately) {
   FaultGuard faults;
   Database db(YagoSchema(), GenerateYago({.persons = 60, .seed = 7}));
-  db.set_plan_cache_enabled(true);  // outranks GQOPT_PLAN_CACHE=0
   ExecOptions options;
   for (size_t q = 0; q < kNumQueries; ++q) {
     ASSERT_TRUE(db.Prepare(kQueries[q], options).ok());

@@ -1,15 +1,44 @@
 // Shared fixtures reproducing the paper's running example: the Fig 1 YAGO
 // schema (5 node labels, 7 edges) and the Fig 2 YAGO database instance
-// (7 nodes, 9 edges). Node ids follow the paper's n1..n7 as 0..6.
+// (7 nodes, 9 edges). Node ids follow the paper's n1..n7 as 0..6. Plus
+// ScopedEnv, for the suites that test environment knobs.
 
 #ifndef GQOPT_TESTS_TEST_FIXTURES_H_
 #define GQOPT_TESTS_TEST_FIXTURES_H_
+
+#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "graph/property_graph.h"
 #include "schema/graph_schema.h"
 
 namespace gqopt {
 namespace testing {
+
+/// Sets an environment variable and restores its previous value (or
+/// unsets it) on scope exit, so a test of an environment knob cannot leak
+/// the knob into later tests or override the value a tier-1 leg set.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    ::setenv(name, value, /*overwrite=*/1);
+  }
+  ~ScopedEnv() {
+    if (saved_.has_value()) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
 
 /// The Fig 1 schema: PERSON, CITY, PROPERTY, REGION, COUNTRY with
 /// isMarriedTo, livesIn, owns, isLocatedIn (x3) and dealsWith.

@@ -375,7 +375,7 @@ TEST_F(TopKDifferentialTest, AscendingSortOutputStaysMergeEligible) {
   EXPECT_EQ(t.ascending_prefix(), 2u);
 }
 
-// ---- Both planners, plan cache on/off, low-memory, via the facade ----------
+// ---- Both planners and plan cache on/off, via the facade -------------------
 
 class TopKFacadeTest : public ::testing::Test {
  protected:
@@ -394,33 +394,28 @@ TEST_F(TopKFacadeTest, OrderByLimitIdenticalAcrossPlannersAndCache) {
   bool have_reference = false;
   for (PlannerKind planner : {PlannerKind::kDp, PlannerKind::kGreedy}) {
     for (bool cache : {false, true}) {
-      for (bool low_memory : {false, true}) {
-        for (int dop : {1, 2, 4}) {
-          api::Session session(db_);
-          session.options().planner = planner;
-          session.options().use_plan_cache = cache;
-          session.options().low_memory = low_memory;
-          session.options().dop = dop;
-          session.options().parallel_min_rows = 0;
-          session.options().apply_schema_rewrite = false;
-          auto result = session.Query(text);
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          auto rows = RowsOf(result->table);
-          if (!have_reference) {
-            reference = rows;
-            have_reference = true;
-            // Pin against the naive specification once.
-            auto full = session.Query(unlimited);
-            ASSERT_TRUE(full.ok()) << full.status().ToString();
-            EXPECT_EQ(reference,
-                      NaiveTopK(full->table,
-                                {{"z", true}, {"x", false}}, 11));
-          } else {
-            EXPECT_EQ(rows, reference)
-                << "planner=" << (planner == PlannerKind::kDp ? "dp" : "greedy")
-                << " cache=" << cache << " low_memory=" << low_memory
-                << " dop=" << dop;
-          }
+      for (int dop : {1, 2, 4}) {
+        api::Session session(db_);
+        session.options().planner = planner;
+        session.options().use_plan_cache = cache;
+        session.options().dop = dop;
+        session.options().parallel_min_rows = 0;
+        session.options().apply_schema_rewrite = false;
+        auto result = session.Query(text);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        auto rows = RowsOf(result->table);
+        if (!have_reference) {
+          reference = rows;
+          have_reference = true;
+          // Pin against the naive specification once.
+          auto full = session.Query(unlimited);
+          ASSERT_TRUE(full.ok()) << full.status().ToString();
+          EXPECT_EQ(reference,
+                    NaiveTopK(full->table, {{"z", true}, {"x", false}}, 11));
+        } else {
+          EXPECT_EQ(rows, reference)
+              << "planner=" << (planner == PlannerKind::kDp ? "dp" : "greedy")
+              << " cache=" << cache << " dop=" << dop;
         }
       }
     }

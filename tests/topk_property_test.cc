@@ -55,8 +55,10 @@ PropertyGraph RandomGraph(Rng* rng) {
   return graph;
 }
 
-// A random child plan over {e1, e2} with 2-3 output columns.
-RaExprPtr RandomChildPlan(Rng* rng) {
+// A random child plan over {e1, e2} with 2-3 output columns. A seeded
+// closure takes its seed side from `side_rng`, a stream of its own, so
+// the seed side never shifts the other draws of `rng`.
+RaExprPtr RandomChildPlan(Rng* rng, Rng* side_rng) {
   switch (rng->Uniform(5)) {
     case 0:
       return RaExpr::EdgeScan("e1", "x", "y");
@@ -70,11 +72,13 @@ RaExprPtr RandomChildPlan(Rng* rng) {
       return RaExpr::Distinct(
           RaExpr::Union(RaExpr::EdgeScan("e1", "x", "y"),
                         RaExpr::EdgeScan("e2", "x", "y")));
-    default:
-      return RaExpr::TransitiveClosure(RaExpr::EdgeScan("e1", "x", "y"),
-                                       "x", "y",
-                                       RaExpr::NodeScan({"SEED"}, "x"),
-                                       SeedSide::kSource);
+    default: {
+      bool target = side_rng->Chance(0.5);
+      return RaExpr::TransitiveClosure(
+          RaExpr::EdgeScan("e1", "x", "y"), "x", "y",
+          RaExpr::NodeScan({"SEED"}, target ? "y" : "x"),
+          target ? SeedSide::kTarget : SeedSide::kSource);
+    }
   }
 }
 
@@ -138,11 +142,12 @@ class TopKPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TopKPropertyTest, TopKIsThePrefixOfTheStableFullOrder) {
   Rng rng(GetParam());
+  Rng side_rng(~GetParam());
   PropertyGraph graph = RandomGraph(&rng);
   Catalog catalog(graph);
 
   for (int round = 0; round < 8; ++round) {
-    RaExprPtr child = RandomChildPlan(&rng);
+    RaExprPtr child = RandomChildPlan(&rng, &side_rng);
     std::vector<SortKey> keys = RandomKeys(child->columns(), &rng);
 
     Executor reference_executor(catalog);
@@ -204,8 +209,11 @@ TEST_P(TopKPropertyTest, TopKIsThePrefixOfTheStableFullOrder) {
   }
 }
 
+// Every seed in [1, 34]: about one seed in ten draws a target-seeded
+// closure whose top-k actually prunes (leading key on the fixed column,
+// 0 < k < rows), so a short hand-picked list can miss that path.
 INSTANTIATE_TEST_SUITE_P(Seeds, TopKPropertyTest,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+                         ::testing::Range<uint64_t>(1, 35));
 
 }  // namespace
 }  // namespace gqopt

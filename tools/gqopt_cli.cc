@@ -68,7 +68,9 @@ void PrintHelp() {
       "  analyze <query>            EXPLAIN + run, rows = est/actual\n"
       "  sql <query>                recursive SQL translation\n"
       "  cypher <query>             Cypher translation\n"
-      "  cache                      plan-cache counters (hits/evictions)\n"
+      "  cache                      plan-cache counters (hits/evictions);\n"
+      "                             GQOPT_PLAN_CACHE=0 at startup makes\n"
+      "                             this session bypass the cache\n"
       "  delta                      delta-store counters (pending rows,\n"
       "                             appends, compactions)\n"
       "  mutate node <label>        insert a node, print its id\n"
@@ -178,15 +180,18 @@ void DoTranslate(const api::Session& session, const std::string& text,
   std::printf("%s\n", emitted->c_str());
 }
 
-void DoCacheStats(const api::Database& db) {
-  api::PlanCacheStats stats = db.plan_cache_stats();
+void DoCacheStats(const api::Session& session) {
+  api::PlanCacheStats stats = session.database().plan_cache_stats();
+  // ExecOptions::use_plan_cache is the cache's only switch.
+  const char* use = session.options().use_plan_cache
+                        ? "used by this session"
+                        : "bypassed by this session";
   if (stats.capacity > 0) {
-    std::printf("plan cache: %s, %zu entries (LRU capacity %zu)\n",
-                stats.enabled ? "enabled" : "disabled", stats.entries,
-                stats.capacity);
+    std::printf("plan cache: %s, %zu entries (LRU capacity %zu)\n", use,
+                stats.entries, stats.capacity);
   } else {
-    std::printf("plan cache: %s, %zu entries (unbounded)\n",
-                stats.enabled ? "enabled" : "disabled", stats.entries);
+    std::printf("plan cache: %s, %zu entries (unbounded)\n", use,
+                stats.entries);
   }
   if (stats.mem_capacity > 0) {
     std::printf("  bytes         %zu of %zu budget\n", stats.bytes,
@@ -435,7 +440,7 @@ int main() {
     } else if (command == "cypher") {
       DoTranslate(session, rest, /*to_sql=*/false);
     } else if (command == "cache") {
-      DoCacheStats(db);
+      DoCacheStats(session);
     } else if (command == "delta") {
       DoDelta(db, rest);
     } else if (command == "mutate") {

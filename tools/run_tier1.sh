@@ -4,30 +4,34 @@
 #
 # Usage: tools/run_tier1.sh [--no-bench] [--tsan] [--asan] [--topk]
 #
-# GQOPT_DOP (degree of parallelism, default the hardware concurrency
-# clamped to [1, 256], serial only on a 1-core machine) passes through to
-# every test and benchmark binary: executors and closures run their
-# partitioned parallel paths at that dop. Independent of the ambient
-# value, the differential suites run once more at GQOPT_DOP=4 below, so
-# parallel execution is checked for bit-identical results on every
-# tier-1 run.
+# The query knobs GQOPT_DOP, GQOPT_PLANNER and GQOPT_PLAN_CACHE have one
+# reader, api::ExecOptions::FromEnv(). The suites that plan or execute
+# set dop, planner and plan-cache use themselves, so the plain ctest run
+# covers serial and dop-4 execution, both planners and uncached prepares
+# on any core count. The env legs below re-run only the suites that
+# build their options with FromEnv() (api, end_to_end, serving), once
+# per non-default knob value: GQOPT_DOP=4, GQOPT_PLANNER=greedy and
+# GQOPT_PLAN_CACHE=0.
 #
 # --tsan builds the concurrency suites under ThreadSanitizer (its own
-# build-tsan/ tree, benches off) and runs them serial and at dop=4: the
-# serving layer's stress/storm tests must come back with zero reported
-# races. It replaces the normal run — do both for a full verification.
+# build-tsan/ tree, benches off) and runs them, then the serving suite
+# once more at GQOPT_DOP=4: the serving layer's stress/storm tests must
+# come back with zero reported races. It replaces the normal run — do
+# both for a full verification.
 #
 # --asan builds under ASan+UBSan (its own build-asan/ tree, benches off)
 # and runs the memory-governance surface — the tracker, budget-enforcement
 # and serving suites, so every "resource:" abort path comes back with zero
 # heap misuse or arithmetic UB — plus the closure suites, so the closure
 # kernel's dedup-set indexing and morsel buffers run under the sanitizers
-# too. Also replaces the normal run.
+# too, then the serving suite at GQOPT_DOP=4. Also replaces the normal
+# run.
 #
 # --topk is a fast smoke target: build, then run only the ordering
-# suites (differential + randomized property + parser) across the
-# dop / planner / plan-cache / low-memory matrix. Useful while iterating
-# on the Sort/Limit/TopK operators; a full run still covers everything.
+# suites (differential + randomized property + parser + optimizer), which
+# cover the dop / planner / plan-cache matrix themselves. Useful while
+# iterating on the Sort/Limit/TopK operators; a full run still covers
+# everything.
 
 set -euo pipefail
 
@@ -51,29 +55,24 @@ done
 if [[ "$run_topk" -eq 1 ]]; then
   cmake -B build -S . -DGQOPT_BUILD_EXAMPLES=ON
   cmake --build build -j "$(nproc)"
-  topk_suites='(topk_differential|topk_property|ucqt|optimizer)_test'
-  for dop in 1 2 4; do
-    GQOPT_DOP=$dop ctest --test-dir build --output-on-failure \
-      -R "$topk_suites"
-  done
-  GQOPT_PLANNER=greedy ctest --test-dir build --output-on-failure \
-    -R "$topk_suites"
-  GQOPT_PLAN_CACHE=0 ctest --test-dir build --output-on-failure \
-    -R '(topk_differential|topk_property)_test'
+  ctest --test-dir build --output-on-failure \
+    -R '(topk_differential|topk_property|ucqt|optimizer)_test'
   echo "top-k smoke subset passed"
   exit 0
 fi
 
 if [[ "$run_tsan" -eq 1 ]]; then
   # The concurrency surface: the serving layer, the differential suites
-  # that re-run executors at dop=4, and the pool itself.
+  # that run executors serial and at dop=4, and the pool itself.
   cmake -B build-tsan -S . -DGQOPT_SANITIZE=thread \
     -DGQOPT_BUILD_BENCHES=OFF -DGQOPT_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j "$(nproc)"
   ctest --test-dir build-tsan --output-on-failure \
     -R '(serving|api|delta_differential|parallel_differential|csr_differential|topk_differential|topk_property|thread_pool)_test'
+  # The serving storms build their options with FromEnv(): run them at
+  # dop=4 too.
   GQOPT_DOP=4 ctest --test-dir build-tsan --output-on-failure \
-    -R '(serving|parallel_differential|csr_differential|topk_differential|topk_property|thread_pool)_test'
+    -R 'serving_test'
   echo "TSan tier-1 subset passed (build-tsan/)"
   exit 0
 fi
@@ -91,7 +90,7 @@ if [[ "$run_asan" -eq 1 ]]; then
   ctest --test-dir build-asan --output-on-failure \
     -R '(mem_tracker|memory_governance|serving|api|topk_differential|topk_property|csr_differential|parallel_differential|delta_differential|inc)_test'
   GQOPT_DOP=4 ctest --test-dir build-asan --output-on-failure \
-    -R '(mem_tracker|memory_governance|serving|topk_differential)_test'
+    -R 'serving_test'
   echo "ASan+UBSan tier-1 subset passed (build-asan/)"
   exit 0
 fi
@@ -102,28 +101,15 @@ cmake -B build -S . -DGQOPT_BUILD_EXAMPLES=ON
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-# Parallel correctness: the differential + threading suites at dop=4
-# (serial and parallel execution must produce identical tables).
+# The FromEnv() suites once per non-default query knob. api_test reads
+# GQOPT_DOP and GQOPT_PLANNER but pins use_plan_cache, so the cache leg
+# leaves it out.
 GQOPT_DOP=4 ctest --test-dir build --output-on-failure \
-  -R '(parallel_differential|csr_differential|topk_differential|topk_property|thread_pool)_test'
-
-# Planner correctness: the differential suites once more with the DP
-# join enumerator pinned on (the ambient default, but the knob may be
-# overridden in the environment), and once with the retained greedy pass
-# so both planners stay covered by every tier-1 run.
-GQOPT_PLANNER=dp ctest --test-dir build --output-on-failure \
-  -R '(planner|optimizer|ra|parallel_differential|topk_differential|topk_property|end_to_end|api|serving)_test'
+  -R '(api|end_to_end|serving)_test'
 GQOPT_PLANNER=greedy ctest --test-dir build --output-on-failure \
-  -R '(planner|optimizer|ra|parallel_differential|topk_differential|topk_property|end_to_end|api|serving)_test'
-
-# Facade correctness with the plan cache forced off and on: the API and
-# end-to-end suites must behave identically in both modes (tests that
-# assert cache hits pin the enabled state with the explicit setter, which
-# takes precedence over GQOPT_PLAN_CACHE — see src/api/options.h).
+  -R '(api|end_to_end|serving)_test'
 GQOPT_PLAN_CACHE=0 ctest --test-dir build --output-on-failure \
-  -R '(api|end_to_end|serving|topk_differential)_test'
-GQOPT_PLAN_CACHE=1 ctest --test-dir build --output-on-failure \
-  -R '(api|end_to_end|serving|topk_differential)_test'
+  -R '(end_to_end|serving)_test'
 
 # The repo benchmark's own tests (perfbench/): they build the runner
 # against the Database facade and run its correctness gate end to end, so
