@@ -712,20 +712,19 @@ void BM_PlanEnumeration(benchmark::State& state) {
                                          "c" + std::to_string(rel),
                                          "c" + std::to_string(rel + 1)));
   }
-  OptimizerOptions options;
-  options.planner = PlannerKind::kDp;
-  benchmark::DoNotOptimize(OptimizePlan(plan, catalog, options));  // warm
+  benchmark::DoNotOptimize(OptimizePlan(plan, catalog));  // warm
   for (auto _ : state) {
-    benchmark::DoNotOptimize(OptimizePlan(plan, catalog, options));
+    benchmark::DoNotOptimize(OptimizePlan(plan, catalog));
   }
 }
 BENCHMARK(BM_PlanEnumeration)->Arg(4)->Arg(6)->Arg(8)->Arg(10);
 
-// End-to-end join-order quality, DP vs greedy, on the interesting-order
-// cluster (two merge-joinable "big" relations plus a small connector):
-// greedy starts from the small relation, buries the sorted prefix and
-// hashes; DP keeps big1 |><| big2 sorted and merges. Same process, same
-// inputs — the pair is a drift-free counterpart in bench_diff.py.
+// End-to-end join-order quality, DP vs its greedy fallback (reached with
+// dp_max_relations = 1), on the interesting-order cluster (two
+// merge-joinable "big" relations plus a small connector): greedy starts
+// from the small relation, buries the sorted prefix and hashes; DP keeps
+// big1 |><| big2 sorted and merges. Same process, same inputs — the pair
+// is a drift-free counterpart in bench_diff.py.
 PropertyGraph OrderQualityGraph() {
   Rng rng(7);
   PropertyGraph graph;
@@ -745,7 +744,7 @@ PropertyGraph OrderQualityGraph() {
   return graph;
 }
 
-void RunOrderQuality(benchmark::State& state, PlannerKind planner) {
+void RunOrderQuality(benchmark::State& state, size_t dp_max_relations) {
   PropertyGraph graph = OrderQualityGraph();
   Catalog catalog(graph);
   RaExprPtr cluster = RaExpr::Join(
@@ -753,7 +752,7 @@ void RunOrderQuality(benchmark::State& state, PlannerKind planner) {
                    RaExpr::EdgeScan("big1", "a", "b")),
       RaExpr::EdgeScan("big2", "a", "b"));
   OptimizerOptions options;
-  options.planner = planner;
+  options.dp_max_relations = dp_max_relations;
   RaExprPtr plan = OptimizePlan(cluster, catalog, options);
   Executor executor(catalog);
   size_t rows = 0;
@@ -766,12 +765,12 @@ void RunOrderQuality(benchmark::State& state, PlannerKind planner) {
 }
 
 void BM_JoinOrderQualityDP(benchmark::State& state) {
-  RunOrderQuality(state, PlannerKind::kDp);
+  RunOrderQuality(state, kDpMaxJoinRelations);
 }
 BENCHMARK(BM_JoinOrderQualityDP);
 
 void BM_JoinOrderQualityGreedy(benchmark::State& state) {
-  RunOrderQuality(state, PlannerKind::kGreedy);
+  RunOrderQuality(state, 1);
 }
 BENCHMARK(BM_JoinOrderQualityGreedy);
 

@@ -48,9 +48,8 @@ std::string StaleMessage(const char* prefix, uint64_t now, uint64_t then,
 /// sessions with different planning knobs never share a plan.
 std::string PlanFingerprint(const ExecOptions& options) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "r%d p%d fs%d dop%d|",
+  std::snprintf(buf, sizeof(buf), "r%d fs%d dop%d|",
                 options.apply_schema_rewrite ? 1 : 0,
-                static_cast<int>(options.planner),
                 options.enable_fixpoint_seeding ? 1 : 0, options.dop);
   return buf;
 }
@@ -59,6 +58,10 @@ std::string PlanFingerprint(const ExecOptions& options) {
 /// the expression tree — plans are a handful of small nodes, so a flat
 /// allowance beats walking the tree on the Insert path.
 constexpr size_t kPlanCacheEntryOverhead = 1024;
+
+/// Ratio between a label's current and costed row counts past which a
+/// cached plan re-plans instead of serving.
+constexpr double kPlanDriftThreshold = 2.0;
 
 bool IsStale(const Status& status) {
   return status.message().find("stale prepared query") != std::string::npos;
@@ -258,24 +261,7 @@ Database::Database() : Database(GraphSchema(), PropertyGraph()) {}
 Database::Database(GraphSchema schema, PropertyGraph graph)
     : schema_(std::move(schema)),
       graph_(std::move(graph)),
-      mem_(ParseByteSize(std::getenv("GQOPT_SERVER_MEM_LIMIT")), "server") {
-  if (const char* rows = std::getenv("GQOPT_DELTA_MERGE_ROWS")) {
-    char* end = nullptr;
-    unsigned long value = std::strtoul(rows, &end, 10);
-    // Malformed or zero values keep the default threshold.
-    if (end != rows && value > 0) {
-      delta_merge_rows_ = static_cast<size_t>(value);
-    }
-  }
-  if (const char* drift = std::getenv("GQOPT_PLAN_DRIFT")) {
-    char* end = nullptr;
-    double value = std::strtod(drift, &end);
-    // A ratio below 1 would re-plan on every lookup; clamp it out.
-    if (end != drift && value >= 1.0) {
-      plan_drift_threshold_.store(value, std::memory_order_relaxed);
-    }
-  }
-}
+      mem_(ParseByteSize(std::getenv("GQOPT_SERVER_MEM_LIMIT")), "server") {}
 
 Result<std::unique_ptr<Database>> Database::Open(
     const std::string& schema_path, const std::string& graph_path) {
@@ -444,11 +430,6 @@ void Database::set_delta_merge_rows(size_t rows) {
   delta_merge_rows_ = rows == 0 ? 1 : rows;
 }
 
-void Database::set_plan_drift_threshold(double threshold) {
-  plan_drift_threshold_.store(threshold < 1.0 ? 1.0 : threshold,
-                              std::memory_order_relaxed);
-}
-
 Status Database::StageFault(QueryStage stage) const {
   FaultPoint point = FaultPoint::kExecute;
   switch (stage) {
@@ -498,7 +479,6 @@ bool Database::PlanStillFits(const PreparedQuery& cached) const {
   // the threshold the plan keeps serving (same pointer — no re-plan);
   // past it the entry is dropped and the query re-plans under the fresh
   // numbers.
-  double threshold = plan_drift_threshold_.load(std::memory_order_relaxed);
   SnapshotPtr snap = snapshot();
   if (snap->generation() != cached.generation_) return false;
   const GraphStatistics& stats = snap->catalog().stats();
@@ -506,7 +486,7 @@ bool Database::PlanStillFits(const PreparedQuery& cached) const {
     double current = static_cast<double>(stats.EdgeFor(label).rows) + 1;
     double costed = static_cast<double>(planned) + 1;
     double ratio = current > costed ? current / costed : costed / current;
-    if (ratio > threshold) return false;
+    if (ratio > kPlanDriftThreshold) return false;
   }
   return true;
 }

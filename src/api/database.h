@@ -24,8 +24,8 @@
 //   data_generation  — bumped by AddNode/AddEdge and by compaction;
 //                    cached plans and handles stay VALID across it
 //                    (Execute re-resolves the snapshot, the plan-cache
-//                    lookup re-plans only when the estimated
-//                    cardinalities drifted past GQOPT_PLAN_DRIFT).
+//                    lookup re-plans only when an estimated
+//                    cardinality drifted past kPlanDriftThreshold).
 
 #ifndef GQOPT_API_DATABASE_H_
 #define GQOPT_API_DATABASE_H_
@@ -286,7 +286,7 @@ using PreparedQueryPtr = std::shared_ptr<const PreparedQuery>;
 /// snapshot after construction or compaction; while that copy exists,
 /// writes also append to a side buffer (src/inc) whose sealed rows the
 /// snapshots overlay, and cached plans keep serving (drift-checked).
-/// Once the buffer exceeds GQOPT_DELTA_MERGE_ROWS rows, or on Compact(),
+/// Once the buffer exceeds the merge threshold, or on Compact(),
 /// it clears and the next snapshot re-freezes the master. Writes made
 /// while no copy is frozen (bulk loads) skip the buffer.
 class Database {
@@ -366,11 +366,7 @@ class Database {
   inc::DeltaStats delta_stats() const;
 
   /// Pending-row threshold that triggers auto-compaction (default 4096).
-  /// Overrides GQOPT_DELTA_MERGE_ROWS.
   void set_delta_merge_rows(size_t rows);
-  /// Cardinality drift ratio beyond which a cached plan re-plans instead
-  /// of serving (default 2.0; must be >= 1). Overrides GQOPT_PLAN_DRIFT.
-  void set_plan_drift_threshold(double threshold);
 
   /// Parse + typecheck + schema rewrite + translate + optimize, or a plan
   /// cache hit skipping all of it. Errors carry a stage prefix (see
@@ -463,9 +459,6 @@ class Database {
   inc::DeltaStore delta_;
   mutable std::shared_ptr<const PropertyGraph> base_graph_;
   mutable std::shared_ptr<const Catalog> base_catalog_;
-  // Read on the lock-free Prepare path; relaxed ordering is fine (any
-  // recent value yields a correct plan).
-  std::atomic<double> plan_drift_threshold_{2.0};
   // Leaf mutex guarding only the publication slot below — taken for
   // pointer copies, never across a build. (Not std::atomic<shared_ptr>:
   // libstdc++'s _Sp_atomic trips ThreadSanitizer, and the robustness

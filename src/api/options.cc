@@ -21,10 +21,6 @@ ExecOptions ExecOptions::FromEnv() {
     if (value > 256) value = 256;
     options.dop = value;
   }
-  if (const char* planner = std::getenv("GQOPT_PLANNER")) {
-    options.planner = std::string(planner) == "greedy" ? PlannerKind::kGreedy
-                                                       : PlannerKind::kDp;
-  }
   if (const char* cache = std::getenv("GQOPT_PLAN_CACHE")) {
     options.use_plan_cache = std::string(cache) != "0";
   }
@@ -36,7 +32,6 @@ OptimizerOptions ExecOptions::ToOptimizerOptions() const {
   OptimizerOptions options;
   options.enable_fixpoint_seeding = enable_fixpoint_seeding;
   options.dop = dop;
-  options.planner = planner;
   return options;
 }
 

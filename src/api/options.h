@@ -31,7 +31,6 @@ namespace api {
 ///   GQOPT_TIMEOUT_MS   per-execution deadline in ms   (field timeout_ms)
 ///   GQOPT_REPS         measurement repetitions        (field repetitions)
 ///   GQOPT_DOP          degree of parallelism          (field dop)
-///   GQOPT_PLANNER      "greedy" or "dp"               (field planner)
 ///   GQOPT_PLAN_CACHE   "0" disables plan-cache use    (field use_plan_cache)
 ///   GQOPT_MEM_LIMIT    per-query memory budget        (field mem_limit_bytes)
 struct ExecOptions {
@@ -59,8 +58,6 @@ struct ExecOptions {
   int64_t mem_limit_bytes = 0;
 
   // ---- planning-time knobs (part of the plan-cache key) --------------
-  /// Join-order planner for join clusters.
-  PlannerKind planner = PlannerKind::kDp;
   /// Optimizer ablation (see OptimizerOptions).
   bool enable_fixpoint_seeding = true;
   /// Apply the schema-based rewrite during Prepare. The measurement

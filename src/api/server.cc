@@ -16,19 +16,8 @@ bool IsStale(const Status& status) {
 }  // namespace
 
 std::string DegradationReport::Summary() const {
-  std::string out;
-  auto add = [&out](const char* step) {
-    if (!out.empty()) out += ", ";
-    out += step;
-  };
-  if (greedy_planner) add("greedy-planner");
-  if (skipped_rewrite) add("skipped-rewrite");
-  if (out.empty()) out = "none";
-  if (pressure > 0) {
-    out += " (pressure ";
-    out += std::to_string(pressure);
-    out += ")";
-  }
+  std::string out = skipped_rewrite ? "skipped-rewrite" : "none";
+  if (pressure > 0) out += " (pressure " + std::to_string(pressure) + ")";
   return out;
 }
 
@@ -77,7 +66,7 @@ Server::Response Server::Query(std::string_view text,
   } else {
     failed_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (response.degradation.any()) {
+  if (response.degradation.skipped_rewrite) {
     degraded_.fetch_add(1, std::memory_order_relaxed);
   }
   return response;
@@ -94,11 +83,7 @@ Server::Response Server::Process(const std::string& text,
     return response;
   }
 
-  int level = options_.enable_degradation
-                  ? PressureLevel(depth_.load(std::memory_order_acquire),
-                                  options_.queue_capacity)
-                  : 0;
-  response.degradation = ApplyDegradation(level, &options);
+  response.degradation = Degrade(&options);
 
   Session session(*db_, options);
   // A concurrent Use() between Prepare and Execute surfaces as a
@@ -168,11 +153,7 @@ Server::Response Server::QueryWithRetry(std::string_view text,
 Result<std::string> Server::Explain(std::string_view text,
                                     const ExecOptions& base) {
   ExecOptions options = base;
-  int level = options_.enable_degradation
-                  ? PressureLevel(depth_.load(std::memory_order_acquire),
-                                  options_.queue_capacity)
-                  : 0;
-  DegradationReport report = ApplyDegradation(level, &options);
+  DegradationReport report = Degrade(&options);
   GQOPT_ASSIGN_OR_RETURN(PreparedQueryPtr prepared,
                          db_->Prepare(text, options));
   std::string out = prepared->Explain();
@@ -180,6 +161,13 @@ Result<std::string> Server::Explain(std::string_view text,
   out.append(report.Summary());
   out.append("\n");
   return out;
+}
+
+DegradationReport Server::Degrade(ExecOptions* options) const {
+  return ApplyDegradation(
+      PressureLevel(depth_.load(std::memory_order_acquire),
+                    options_.queue_capacity),
+      options);
 }
 
 ServerStats Server::stats() const {
@@ -196,23 +184,12 @@ ServerStats Server::stats() const {
 }
 
 int Server::PressureLevel(size_t depth, size_t capacity) {
-  if (capacity == 0) return 0;
-  if (depth * 4 >= capacity * 3) return 2;  // >= 3/4 full
-  if (depth * 2 >= capacity) return 1;      // >= 1/2 full
-  return 0;
+  return capacity > 0 && depth * 4 >= capacity * 3 ? 1 : 0;
 }
 
 DegradationReport Server::ApplyDegradation(int level, ExecOptions* options) {
-  DegradationReport report;
-  report.pressure = level;
-  if (level >= 1 && options->planner == PlannerKind::kDp) {
-    options->planner = PlannerKind::kGreedy;
-    report.greedy_planner = true;
-  }
-  if (level >= 2 && options->apply_schema_rewrite) {
-    options->apply_schema_rewrite = false;
-    report.skipped_rewrite = true;
-  }
+  DegradationReport report{level, level >= 1 && options->apply_schema_rewrite};
+  if (report.skipped_rewrite) options->apply_schema_rewrite = false;
   return report;
 }
 

@@ -1,7 +1,7 @@
 // Concurrent serving layer over the Database facade (docs/ROBUSTNESS.md):
 // a bounded request queue feeding a util/thread_pool, per-request
 // deadlines carried from admission through execution, admission control
-// that sheds load with a typed "overloaded: " status, a graceful-
+// that sheds load with a typed "overloaded: " status, a one-rung
 // degradation ladder under queue pressure, and client-side retry with
 // capped jittered backoff.
 //
@@ -12,9 +12,8 @@
 //   if (!r.result.ok()) { /* ClassifyError(r.result.status()) */ }
 //   r.degradation.Summary();             // what the ladder did, if anything
 //
-// The degradation ladder (each rung recorded in the DegradationReport):
-//   pressure 1 (queue >= 1/2 full)  DP join planner -> greedy
-//   pressure 2 (queue >= 3/4 full)  + skip the schema rewrite
+// The degradation ladder (recorded in the DegradationReport):
+//   pressure 1 (queue >= 3/4 full)  skip the schema rewrite
 // Shedding (queue full, deadline already expired when a worker picks
 // the request up, or — when GQOPT_SERVER_MEM_LIMIT is set — the plan's
 // estimated footprint exceeding the remaining server budget) fails fast
@@ -48,24 +47,17 @@ struct ServerOptions {
   /// Maximum in-flight requests (queued + executing). Admission beyond
   /// this sheds with "overloaded: request queue full".
   size_t queue_capacity = 16;
-  /// Master switch for the degradation ladder (off = always plan at full
-  /// fidelity, even under pressure).
-  bool enable_degradation = true;
 };
 
 /// What the degradation ladder did to one request.
 struct DegradationReport {
-  /// Queue pressure at planning time: 0 = none, 1 = >= 1/2 full,
-  /// 2 = >= 3/4 full.
+  /// Queue pressure at planning time: 0 = none, 1 = >= 3/4 full.
   int pressure = 0;
-  /// DP join enumeration was downgraded to the greedy pass.
-  bool greedy_planner = false;
   /// The schema rewrite was skipped.
   bool skipped_rewrite = false;
 
-  bool any() const { return greedy_planner || skipped_rewrite; }
-  /// "none" or a comma list like "greedy-planner, skipped-rewrite
-  /// (pressure 2)" — what EXPLAIN and the CLI print.
+  /// "none" or "skipped-rewrite", plus " (pressure 1)" under pressure —
+  /// what EXPLAIN and the CLI print.
   std::string Summary() const;
 };
 
@@ -138,11 +130,11 @@ class Server {
   }
 
   /// The ladder's pressure level for `depth` in-flight requests out of
-  /// `capacity`: 0 below 1/2, 1 from 1/2, 2 from 3/4.
+  /// `capacity`: 1 from 3/4 full, else 0 (always 0 for capacity 0).
   static int PressureLevel(size_t depth, size_t capacity);
 
-  /// Applies the pressure-`level` rungs to `options` in place and
-  /// reports what changed. Pure — unit-testable without a server.
+  /// Applies the pressure-`level` rung to `options` in place and reports
+  /// what changed. Pure — unit-testable without a server.
   static DegradationReport ApplyDegradation(int level, ExecOptions* options);
 
   /// True for the failures QueryWithRetry may retry: shed load
@@ -161,6 +153,8 @@ class Server {
   /// Runs on a worker: deadline recheck, ladder, prepare, execute.
   Response Process(const std::string& text, ExecOptions options,
                    const Deadline& deadline);
+  /// The ladder at the current queue depth, applied to `options`.
+  DegradationReport Degrade(ExecOptions* options) const;
 
   const Database* db_;
   ServerOptions options_;

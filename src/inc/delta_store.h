@@ -8,11 +8,11 @@
 // master graph; with no base frozen, writes go to the master alone.
 // Each publication seals the current pending state into an immutable
 // SealedDelta, and readers execute against base + seal through the
-// overlay Catalog (ra/catalog.h). When the delta exceeds GQOPT_DELTA_MERGE_ROWS (or on
-// an explicit Compact()) the buffer clears and the next publication
-// re-freezes the master, which already holds every row. A reader always
-// sees either a seal or a re-frozen base — never a partially merged
-// state.
+// overlay Catalog (ra/catalog.h). When the delta exceeds the merge
+// threshold (Database::set_delta_merge_rows), or on an explicit
+// Compact(), the buffer clears and the next publication re-freezes the
+// master, which already holds every row. A reader always sees either a
+// seal or a re-frozen base — never a partially merged state.
 //
 // Ids: pending nodes take ids base_nodes + i in append order, so every
 // delta id is greater than every base id (merged node extents stay
@@ -167,7 +167,7 @@ class DeltaStore {
                  std::string_view label, NodeId target);
 
   bool empty() const { return nodes_.empty() && edge_count_ == 0; }
-  /// Pending rows (nodes + edges) — what GQOPT_DELTA_MERGE_ROWS bounds.
+  /// Pending rows (nodes + edges) — what the merge threshold bounds.
   size_t pending_rows() const { return nodes_.size() + edge_count_; }
   size_t pending_nodes() const { return nodes_.size(); }
   size_t pending_edges() const { return edge_count_; }

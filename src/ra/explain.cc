@@ -5,8 +5,6 @@
 #include <cstdio>
 
 #include "ra/planner/cost_model.h"
-#include "util/exec_context.h"
-#include "util/radix.h"
 
 namespace gqopt {
 namespace {
@@ -94,17 +92,12 @@ const PlanEstimate& Estimator::Estimate(const RaExpr* e) {
       est.rows = l.rows * r.rows * selectivity;
       // Strategy-aware cost (the planner's cost model): annotated joins
       // are costed as annotated; unannotated ones as the strategy the
-      // input shapes admit, with the same flat->radix size refinement
-      // the optimizer and the executor apply.
+      // input shapes admit; flat hash joins under the size rule.
       JoinStrategy strategy = e->join_strategy();
       if (strategy == JoinStrategy::kAuto && !shared.empty()) {
         strategy = AnalyzeJoinShape(*e->left(), *e->right()).strategy;
       }
-      if (strategy == JoinStrategy::kFlatHash &&
-          std::min(l.rows, r.rows) >=
-              static_cast<double>(kRadixMinBuildRows)) {
-        strategy = JoinStrategy::kRadixHash;
-      }
+      strategy = SizeJoinStrategy(strategy, l.rows, r.rows);
       est.cost = l.cost + r.cost +
                  JoinWorkCost(strategy, l.rows, r.rows, est.rows,
                               e->parallel_hint());

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "ra/explain.h"
-#include "util/radix.h"
 
 namespace gqopt {
 namespace {
@@ -154,17 +153,29 @@ class Optimizer {
     return Rows(estimate_probes_.back());
   }
 
+  // Orders one flattened join cluster: the DP enumerator orders the
+  // non-closure core (interesting-order aware, so orders that keep
+  // merge/offset applicable downstream survive pruning), then the
+  // closures attach greedily on top — late, once the core provides the
+  // richest binding set for fixpoint seeding. Where DP does not apply
+  // (see OptimizerOptions::dp_max_relations) the greedy pass orders the
+  // whole cluster.
   RaExprPtr RewriteJoinCluster(const RaExprPtr& e) {
-    std::vector<RaExprPtr> conjuncts;
+    std::vector<RaExprPtr> conjuncts, core, closures;
     Flatten(e, &conjuncts);
-    if (options_.planner == PlannerKind::kDp) {
-      RaExprPtr planned = DpRewriteJoinCluster(conjuncts);
-      if (planned != nullptr) return planned;
-      // DP not applicable (cluster too large, too many columns, or the
-      // planning deadline expired): the greedy pass below runs instead.
+    for (const RaExprPtr& c : conjuncts) {
+      (c->op() == RaOp::kTransitiveClosure ? closures : core).push_back(c);
+    }
+    DpPlannerOptions dp_options;
+    dp_options.dop = options_.dop;
+    dp_options.max_relations = options_.dp_max_relations;
+    dp_options.deadline = options_.planning_deadline;
+    dp_options.requested_order = requested_order_;
+    if (RaExprPtr acc = DpPlanJoinOrder(core, &estimator_, dp_options)) {
+      return AttachGreedily(std::move(acc), std::move(closures));
     }
 
-    // Pick the cheapest non-closure conjunct as the start (closures are
+    // Greedy: start from the cheapest non-closure conjunct (closures are
     // most valuable late, once a seed is available).
     size_t start = conjuncts.size();
     for (size_t i = 0; i < conjuncts.size(); ++i) {
@@ -210,40 +221,13 @@ class Optimizer {
     return acc;
   }
 
-  // Cost-based join ordering for one flattened cluster: the DP enumerator
-  // orders the non-closure core (interesting-order aware, so orders that
-  // keep merge/offset applicable downstream survive pruning), then the
-  // closures attach greedily on top — late, once the core provides the
-  // richest binding set for fixpoint seeding (the same "closures last"
-  // preference the greedy start-selection encodes). Returns nullptr when
-  // DP is not applicable and the greedy pass should run.
-  RaExprPtr DpRewriteJoinCluster(const std::vector<RaExprPtr>& conjuncts) {
-    std::vector<RaExprPtr> core, closures;
-    for (const RaExprPtr& c : conjuncts) {
-      (c->op() == RaOp::kTransitiveClosure ? closures : core).push_back(c);
-    }
-    if (core.size() < 2) return nullptr;
-
-    DpPlannerOptions dp_options;
-    dp_options.dop = options_.dop;
-    dp_options.max_relations = options_.dp_max_relations;
-    dp_options.deadline = options_.planning_deadline;
-    dp_options.requested_order = requested_order_;
-    RaExprPtr acc = DpPlanJoinOrder(core, &estimator_, dp_options);
-    if (acc == nullptr) return nullptr;
-    return AttachGreedily(std::move(acc), std::move(closures));
-  }
-
   // Joins `acc` with `next`; when `next` is an unseeded transitive closure
   // whose source or target column is already bound in `acc`, seed it so the
   // fixpoint only explores the reachable frontier. Every join the
-  // optimizer emits is annotated with its physical strategy: the choice
-  // the propagated ordering properties admit (AnalyzeJoinShape), with the
-  // hash fallback refined to radix-partitioned when the estimated build
-  // side is large enough to pay for the partition passes. The executor
-  // validates each choice against the runtime Table properties and
-  // degrades gracefully when a prediction (e.g. key-domain density for
-  // kOffset) does not hold.
+  // optimizer emits is annotated by the physical join rule (ra_expr.h).
+  // The executor validates each choice against the runtime Table
+  // properties and degrades gracefully when a prediction (e.g. key-domain
+  // density for kOffset) does not hold.
   RaExprPtr JoinWithSeeding(RaExprPtr acc, RaExprPtr next) {
     if (options_.enable_fixpoint_seeding &&
         next->op() == RaOp::kTransitiveClosure &&
@@ -261,26 +245,13 @@ class Optimizer {
       }
     }
     JoinPhysical phys = AnalyzeJoinShape(*acc, *next);
-    if (phys.strategy == JoinStrategy::kFlatHash &&
-        std::min(Rows(acc), Rows(next)) >=
-            static_cast<double>(kRadixMinBuildRows)) {
-      phys.strategy = JoinStrategy::kRadixHash;
+    // Only a hash join's choice depends on sizes, so only it pays for the
+    // estimates.
+    if (phys.strategy == JoinStrategy::kFlatHash) {
+      phys = PlanJoin(phys, Rows(acc), Rows(next), options_.dop);
     }
-    // Parallelism hint: hash joins partition their work (radix scatter,
-    // probe ranges), so when planning for dop > 1 and the estimated
-    // probe side crosses the runtime degrade threshold, predict the
-    // join runs at the full dop. Merge/offset joins stream in order and
-    // stay serial. The executor re-validates against actual table sizes.
-    int hint = 0;
-    if (phys.strategy == JoinStrategy::kRadixHash ||
-        phys.strategy == JoinStrategy::kFlatHash) {
-      hint = options_.dop > 1 &&
-                     std::max(Rows(acc), Rows(next)) >=
-                         static_cast<double>(kParallelMinRows)
-                 ? options_.dop
-                 : 1;
-    }
-    return RaExpr::Join(std::move(acc), std::move(next), phys.strategy, hint);
+    return RaExpr::Join(std::move(acc), std::move(next), phys.strategy,
+                        phys.parallel_hint);
   }
 
   Estimator estimator_;

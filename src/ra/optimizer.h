@@ -3,9 +3,8 @@
 //  - flattens join clusters and orders them with the cost-based DP
 //    enumerator (src/ra/planner/) — interesting-order aware, so orders
 //    that keep merge/offset joins applicable downstream survive — with
-//    the PR-1 greedy pass (cheapest-first, connected-next) retained as
-//    the fallback above the DP size cutoff and behind
-//    OptimizerOptions::planner = kGreedy;
+//    a greedy pass (cheapest-first, connected-next) as its fallback
+//    where DP does not apply (see OptimizerOptions::dp_max_relations);
 //  - pushes joins into fixpoints: an unseeded transitive closure joined on
 //    its source (or target) column is rewritten into a seeded closure whose
 //    semi-naive iteration only explores the relevant frontier (the µ-RA
@@ -33,11 +32,10 @@ struct OptimizerOptions {
   /// with a "p=dop" hint (shown by EXPLAIN, validated by the executor).
   /// Defaults to the core-aware DefaultDop(); 1 plans serially.
   int dop = DefaultDop();
-  /// Join-order planner: the cost-based DP enumerator (default) or the
-  /// greedy pass. The DP planner itself falls back to greedy for clusters
-  /// above `dp_max_relations`, for clusters with more than 64 distinct
-  /// columns, and when `planning_deadline` expires mid-enumeration.
-  PlannerKind planner = PlannerKind::kDp;
+  /// Join clusters are ordered by the DP enumerator, which falls back to
+  /// the greedy pass for fewer than 2 non-closure relations, for more
+  /// than `dp_max_relations` of them (1 = always greedy), for more than
+  /// 64 distinct columns, and when `planning_deadline` expires.
   size_t dp_max_relations = kDpMaxJoinRelations;
   /// Deadline polled by the DP enumeration loops (planning-time budget,
   /// distinct from the execution deadline). Default: never expires.

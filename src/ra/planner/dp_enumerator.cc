@@ -5,11 +5,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <unordered_map>
 
 #include "ra/planner/cost_model.h"
-#include "util/exec_context.h"
-#include "util/radix.h"
 
 namespace gqopt {
 namespace {
@@ -44,65 +43,30 @@ double NdvOf(const Candidate& c, uint16_t col) {
   return p < c.ndv.size() ? c.ndv[p] : std::max(1.0, c.rows);
 }
 
-// Mirrors AnalyzeJoinShape (ra_expr.cc) on candidates, including the
-// optimizer's flat->radix size refinement, the p=N hint rule, and the
-// Join factory's sorted-prefix derivation — so the materialized tree
-// re-derives exactly the properties the enumerator costed.
+// Joins two candidates. The strategy, output ordering and p=N hint come
+// from the physical join rule (ra_expr.h) that the Join factory and the
+// optimizer apply too, so the materialized tree re-derives exactly the
+// properties the enumerator costed. `l_keys`/`r_keys` hold each shared
+// column's position in l and r, in l's output order.
 Candidate Combine(const Candidate& l, const Candidate& r,
-                  const std::vector<uint16_t>& shared, int dop) {
+                  std::span<const size_t> l_keys,
+                  std::span<const size_t> r_keys, int dop) {
   Candidate out;
   out.left = &l;
   out.right = &r;
-  size_t m = shared.size();
-
-  // ---- Physical strategy and output ordering (AnalyzeJoinShape) ----
-  if (m == 0) {
-    out.strategy = JoinStrategy::kAuto;  // cross product
-    out.sorted_prefix = l.sorted_prefix;
-  } else {
-    bool merge_ok = l.sorted_prefix >= m && r.sorted_prefix >= m;
-    if (merge_ok) {
-      for (uint16_t col : shared) {
-        size_t lp = PositionOf(l, col);
-        if (lp >= m || PositionOf(r, col) != lp) {
-          merge_ok = false;
-          break;
-        }
-      }
-    }
-    if (merge_ok) {
-      out.strategy = JoinStrategy::kMergeSorted;
-      out.sorted_prefix = l.sorted_prefix;
-    } else if (m == 1 && PositionOf(r, shared[0]) == 0 &&
-               r.sorted_prefix >= 1) {
-      out.strategy = JoinStrategy::kOffset;
-      out.sorted_prefix = l.sorted_prefix;  // probe = left, in order
-    } else if (m == 1 && PositionOf(l, shared[0]) == 0 &&
-               l.sorted_prefix >= 1) {
-      out.strategy = JoinStrategy::kOffset;  // probe = right: order lost
-      out.sorted_prefix = 0;
-    } else {
-      out.strategy = std::min(l.rows, r.rows) >=
-                             static_cast<double>(kRadixMinBuildRows)
-                         ? JoinStrategy::kRadixHash
-                         : JoinStrategy::kFlatHash;
-      out.sorted_prefix = 0;
-    }
-  }
-  if (out.strategy == JoinStrategy::kRadixHash ||
-      out.strategy == JoinStrategy::kFlatHash) {
-    out.parallel_hint =
-        dop > 1 &&
-                std::max(l.rows, r.rows) >=
-                    static_cast<double>(kParallelMinRows)
-            ? dop
-            : 1;
-  }
+  // Candidates carry ascending prefixes only (see the leaves).
+  JoinPhysical phys = PlanJoin(
+      JoinShape({l.sorted_prefix, l.sorted_prefix, l_keys},
+                {r.sorted_prefix, r.sorted_prefix, r_keys}),
+      l.rows, r.rows, dop);
+  out.strategy = phys.strategy;
+  out.sorted_prefix = phys.sorted_prefix;
+  out.parallel_hint = phys.parallel_hint;
 
   // ---- Cardinality and NDV (Estimator::Estimate, kJoin) ----
   double selectivity = 1.0;
-  for (uint16_t col : shared) {
-    selectivity /= std::max({NdvOf(l, col), NdvOf(r, col), 1.0});
+  for (size_t i = 0; i < l_keys.size(); ++i) {
+    selectivity /= std::max({l.ndv[l_keys[i]], r.ndv[r_keys[i]], 1.0});
   }
   out.rows = l.rows * r.rows * selectivity;
   out.cost = l.cost + r.cost +
@@ -301,7 +265,9 @@ RaExprPtr DpPlanJoinOrder(const std::vector<RaExprPtr>& relations,
     for (size_t i = 0; i < k; ++i) {
       best[uint32_t{1} << i].push_back(leaves[members[i]]);
     }
-    std::vector<uint16_t> shared;
+    // Shared-column positions of the pair being combined, reused so the
+    // enumeration loop does not allocate per pair.
+    std::vector<size_t> l_keys, r_keys;
     for (uint32_t set = 3; set <= full; ++set) {
       if ((set & (set - 1)) == 0) continue;  // singleton
       std::vector<const Candidate*>& plans = best[set];
@@ -313,13 +279,16 @@ RaExprPtr DpPlanJoinOrder(const std::vector<RaExprPtr>& relations,
           for (const Candidate* r : best[s2]) {
             uint64_t shared_mask = l->col_mask & r->col_mask;
             if (shared_mask == 0) continue;
-            shared.clear();
-            // Shared columns in l's output order; only their positions
-            // matter to the shape analysis and their set to selectivity.
-            for (uint16_t col : l->cols) {
-              if ((shared_mask >> col) & 1) shared.push_back(col);
+            l_keys.clear();
+            r_keys.clear();
+            for (size_t i = 0; i < l->cols.size(); ++i) {
+              if ((shared_mask >> l->cols[i]) & 1) {
+                l_keys.push_back(i);
+                r_keys.push_back(PositionOf(*r, l->cols[i]));
+              }
             }
-            Insert(&plans, &storage, Combine(*l, *r, shared, options.dop));
+            Insert(&plans, &storage,
+                   Combine(*l, *r, l_keys, r_keys, options.dop));
           }
         }
       }
@@ -336,7 +305,7 @@ RaExprPtr DpPlanJoinOrder(const std::vector<RaExprPtr>& relations,
             });
   const Candidate* acc = component_plans[0];
   for (size_t i = 1; i < component_plans.size(); ++i) {
-    storage.push_back(Combine(*acc, *component_plans[i], {}, options.dop));
+    storage.push_back(Combine(*acc, *component_plans[i], {}, {}, options.dop));
     acc = &storage.back();
   }
   return Materialize(*acc, relations);

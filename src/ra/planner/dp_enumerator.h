@@ -9,8 +9,10 @@
 //
 // The enumerator works on lightweight candidates (column-id vectors,
 // cardinality/NDV estimates, the strategy cost model of cost_model.h) and
-// only materializes RaExpr nodes for the winning tree. Cardinality and
-// cost formulas deliberately mirror the Estimator's (ra/explain.h), so
+// only materializes RaExpr nodes for the winning tree. Each candidate
+// join takes its strategy, ordering and p=N hint from the physical join
+// rule (ra_expr.h) that also annotates the materialized tree, and its
+// cardinality from formulas mirroring the Estimator's (ra/explain.h), so
 // the cost EXPLAIN prints for the chosen plan is the cost the enumerator
 // minimized.
 
@@ -24,12 +26,6 @@
 #include "util/deadline.h"
 
 namespace gqopt {
-
-/// Which join-order planner OptimizePlan uses for join clusters.
-enum class PlannerKind : uint8_t {
-  kGreedy,  // the PR-1 greedy pass (cheapest-first, connected-next)
-  kDp,      // cost-based DP enumeration with interesting orders
-};
 
 /// Join clusters above this size fall back to the greedy pass (DPsize is
 /// exponential in the cluster size; 10 relations stay well under the

@@ -4,6 +4,9 @@
 #include <cassert>
 #include <set>
 
+#include "util/exec_context.h"
+#include "util/radix.h"
+
 namespace gqopt {
 namespace {
 
@@ -348,59 +351,84 @@ std::string RaExpr::ToString() const {
   return out;
 }
 
-JoinPhysical AnalyzeJoinShape(const RaExpr& l, const RaExpr& r) {
+JoinPhysical JoinShape(const JoinSide& l, const JoinSide& r) {
   JoinPhysical out;
-  std::vector<std::string> shared = SharedColumns(l, r);
-  size_t m = shared.size();
+  size_t m = l.key_positions.size();
   if (m == 0) {
     // Cross product: the executor iterates left rows in the outer loop.
-    out.sorted_prefix = l.sorted_prefix();
+    out.sorted_prefix = l.sorted_prefix;
     return out;
   }
-  auto pos = [](const RaExpr& e, const std::string& col) {
-    auto it = std::find(e.columns().begin(), e.columns().end(), col);
-    return static_cast<size_t>(it - e.columns().begin());
-  };
   // Merge: every shared column sits at the same position < m on both
   // sides (so the leading m columns are the keys, in one order) and both
   // inputs are sorted at least that deep — *ascending*: the streaming
   // merge advances the smaller key, so a descending run on either side
-  // (a descending Sort output) disqualifies it. Before the property
-  // carried directions this was the latent tie-break hole: prefixes
-  // never said which way they ran.
-  if (l.ascending_prefix() >= m && r.ascending_prefix() >= m) {
-    bool aligned = true;
-    for (const std::string& col : shared) {
-      size_t lp = pos(l, col);
-      if (lp >= m || pos(r, col) != lp) {
-        aligned = false;
-        break;
-      }
-    }
-    if (aligned) {
-      out.strategy = JoinStrategy::kMergeSorted;
-      // Output rows stream in left-row order (each repeated per right
-      // match), so the left side's full prefix survives.
-      out.sorted_prefix = l.sorted_prefix();
-      return out;
-    }
+  // (a descending Sort output) disqualifies it.
+  if (l.ascending_prefix >= m && r.ascending_prefix >= m &&
+      std::ranges::equal(l.key_positions, r.key_positions) &&
+      std::ranges::all_of(l.key_positions, [m](size_t p) { return p < m; })) {
+    out.strategy = JoinStrategy::kMergeSorted;
+    // Output rows stream in left-row order (each repeated per right
+    // match), so the left side's full prefix survives.
+    out.sorted_prefix = l.sorted_prefix;
+    return out;
   }
   // Offset: a single shared column leading an ascending-sorted side
   // (the offset array indexes keys in increasing order); that side is
   // the build, the other probes in its own order.
   if (m == 1) {
-    if (pos(r, shared[0]) == 0 && r.ascending_prefix() >= 1) {
+    if (r.key_positions[0] == 0 && r.ascending_prefix >= 1) {
       out.strategy = JoinStrategy::kOffset;
-      out.sorted_prefix = l.sorted_prefix();  // probe = left, in order
+      out.sorted_prefix = l.sorted_prefix;  // probe = left, in order
       return out;
     }
-    if (pos(l, shared[0]) == 0 && l.ascending_prefix() >= 1) {
+    if (l.key_positions[0] == 0 && l.ascending_prefix >= 1) {
       out.strategy = JoinStrategy::kOffset;  // probe = right: order lost
       return out;
     }
   }
   out.strategy = JoinStrategy::kFlatHash;  // hash fallback; size picks radix
   return out;
+}
+
+JoinPhysical AnalyzeJoinShape(const RaExpr& l, const RaExpr& r) {
+  std::vector<size_t> l_keys, r_keys;
+  const std::vector<std::string>& r_cols = r.columns();
+  for (size_t i = 0; i < l.columns().size(); ++i) {
+    auto it = std::find(r_cols.begin(), r_cols.end(), l.columns()[i]);
+    if (it == r_cols.end()) continue;
+    l_keys.push_back(i);
+    r_keys.push_back(static_cast<size_t>(it - r_cols.begin()));
+  }
+  return JoinShape({l.sorted_prefix(), l.ascending_prefix(), l_keys},
+                   {r.sorted_prefix(), r.ascending_prefix(), r_keys});
+}
+
+JoinStrategy SizeJoinStrategy(JoinStrategy strategy, double left_rows,
+                              double right_rows) {
+  // Below the threshold one flat index stays cache-resident, so the
+  // partition passes would only add work.
+  if (strategy == JoinStrategy::kFlatHash &&
+      std::min(left_rows, right_rows) >=
+          static_cast<double>(kRadixMinBuildRows)) {
+    return JoinStrategy::kRadixHash;
+  }
+  return strategy;
+}
+
+JoinPhysical PlanJoin(JoinPhysical shape, double left_rows,
+                      double right_rows, int dop) {
+  shape.strategy = SizeJoinStrategy(shape.strategy, left_rows, right_rows);
+  // Hash joins partition their work (radix scatter, probe ranges); the
+  // executor re-validates the hint against the actual table sizes.
+  if (shape.strategy == JoinStrategy::kRadixHash ||
+      shape.strategy == JoinStrategy::kFlatHash) {
+    shape.parallel_hint = dop > 1 && std::max(left_rows, right_rows) >=
+                                         static_cast<double>(kParallelMinRows)
+                              ? dop
+                              : 1;
+  }
+  return shape;
 }
 
 std::vector<std::string> SharedColumns(const RaExpr& l, const RaExpr& r) {

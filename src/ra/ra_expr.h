@@ -13,6 +13,7 @@
 #define GQOPT_RA_RA_EXPR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -233,17 +234,45 @@ class RaExpr {
 /// Sorted vector of the column names shared by `l` and `r`.
 std::vector<std::string> SharedColumns(const RaExpr& l, const RaExpr& r);
 
-/// Structural physical analysis of Join(l, r): which strategy the shapes
-/// of the inputs admit (ignoring cardinalities — kFlatHash stands in for
-/// "hash join", refined to kRadixHash by size) and the output sorted
-/// prefix under that strategy. kAuto means cross product (no shared
-/// columns). Shared by the Join factory's ordering derivation and the
-/// optimizer's strategy annotation.
+// ---- The physical join rule ----------------------------------------------
+// Its one definition: the Join factory, the optimizer, the DP enumerator
+// and the Estimator all call these functions.
+
+/// One join input as the rule sees it: its sorted prefix, the ascending
+/// run of that prefix, and the position of each shared column in its
+/// output (listed in one order for both inputs; empty = cross product).
+struct JoinSide {
+  size_t sorted_prefix = 0;
+  size_t ascending_prefix = 0;
+  std::span<const size_t> key_positions;
+};
+
+/// A join's physical choice: strategy, output sorted prefix under it, and
+/// the p=N hint (0 = none).
 struct JoinPhysical {
   JoinStrategy strategy = JoinStrategy::kAuto;
   size_t sorted_prefix = 0;
+  int parallel_hint = 0;
 };
+
+/// The shape rule: the strategy the input shapes admit, ignoring sizes —
+/// merge, offset, or kFlatHash standing in for any hash join; kAuto for a
+/// cross product — and the output sorted prefix under it.
+JoinPhysical JoinShape(const JoinSide& l, const JoinSide& r);
+/// The shape rule applied to Join(l, r).
 JoinPhysical AnalyzeJoinShape(const RaExpr& l, const RaExpr& r);
+
+/// The size rule: a flat hash join whose smaller estimated input reaches
+/// kRadixMinBuildRows is radix-partitioned; other strategies pass.
+JoinStrategy SizeJoinStrategy(JoinStrategy strategy, double left_rows,
+                              double right_rows);
+
+/// Completes a `shape` with estimated input sizes: the size rule, then
+/// the hint rule — a hash join planned for dop > 1 whose larger input
+/// reaches kParallelMinRows gets p=dop, any other hash join p=1. Merge
+/// and offset joins stream in order and get no hint.
+JoinPhysical PlanJoin(JoinPhysical shape, double left_rows,
+                      double right_rows, int dop);
 
 /// True when `plan`'s derived ordering already delivers Sort(plan, keys)
 /// verbatim: the keys name the plan's leading output columns in order

@@ -53,7 +53,7 @@ enum class FaultPoint : uint8_t {
   /// exactly like a real budget overrun ("mem" in GQOPT_FAULTS specs).
   kMemReserve,
   /// Delta-store compaction (Database::Compact and the automatic merge
-  /// triggered when pending mutations exceed GQOPT_DELTA_MERGE_ROWS):
+  /// triggered when pending mutations exceed the merge threshold):
   /// kDeadline/kAlloc abort the merge with a typed "compact: " status —
   /// pending rows stay in the delta, readers keep the overlay, and the
   /// next compaction retries ("delta-merge" in GQOPT_FAULTS).

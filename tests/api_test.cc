@@ -8,7 +8,7 @@
 //
 // The environment reaches this suite only through FromEnv()
 // (CachedVsColdWorkloadTest), which tools/run_tier1.sh re-runs under
-// GQOPT_DOP=4 and GQOPT_PLANNER=greedy.
+// GQOPT_DOP=4.
 
 #include <gtest/gtest.h>
 
@@ -100,18 +100,17 @@ TEST(ApiTest, PlanKnobsKeyTheCacheSeparately) {
   Database db(YagoSchema(), GenerateYago({.persons = 40}));
   const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
 
-  ExecOptions dp;
-  dp.planner = PlannerKind::kDp;
-  ExecOptions greedy;
-  greedy.planner = PlannerKind::kGreedy;
+  ExecOptions seeded;
+  ExecOptions unseeded;
+  unseeded.enable_fixpoint_seeding = false;
 
   bool hit = true;
-  auto a = db.Prepare(text, dp, &hit);
+  auto a = db.Prepare(text, seeded, &hit);
   ASSERT_TRUE(a.ok());
   EXPECT_FALSE(hit);
-  auto b = db.Prepare(text, greedy, &hit);
+  auto b = db.Prepare(text, unseeded, &hit);
   ASSERT_TRUE(b.ok());
-  EXPECT_FALSE(hit) << "different planner knobs must not share a plan";
+  EXPECT_FALSE(hit) << "different planning knobs must not share a plan";
   EXPECT_EQ(db.plan_cache_stats().entries, 2u);
 }
 
@@ -329,14 +328,12 @@ TEST(ApiTest, ExecOptionsExplicitSettersBeatEnvironment) {
   ScopedEnv timeout("GQOPT_TIMEOUT_MS", "123");
   ScopedEnv reps("GQOPT_REPS", "7");
   ScopedEnv dop("GQOPT_DOP", env_dop_text.c_str());
-  ScopedEnv planner("GQOPT_PLANNER", "greedy");
   ScopedEnv cache("GQOPT_PLAN_CACHE", "0");
 
   // Defaults never read the environment.
   ExecOptions defaults;
   EXPECT_EQ(defaults.timeout_ms, 2000);
   EXPECT_EQ(defaults.dop, DefaultDop());
-  EXPECT_EQ(defaults.planner, PlannerKind::kDp);
   EXPECT_TRUE(defaults.use_plan_cache);
 
   // FromEnv overlays the environment...
@@ -344,32 +341,26 @@ TEST(ApiTest, ExecOptionsExplicitSettersBeatEnvironment) {
   EXPECT_EQ(from_env.timeout_ms, 123);
   EXPECT_EQ(from_env.repetitions, 7);
   EXPECT_EQ(from_env.dop, env_dop);
-  EXPECT_EQ(from_env.planner, PlannerKind::kGreedy);
   EXPECT_FALSE(from_env.use_plan_cache);
 
   // ...and explicit assignment afterwards always wins.
   from_env.timeout_ms = 456;
-  from_env.planner = PlannerKind::kDp;
   EXPECT_EQ(from_env.timeout_ms, 456);
-  EXPECT_EQ(from_env.planner, PlannerKind::kDp);
 }
 
-// GQOPT_DOP, GQOPT_PLANNER and GQOPT_PLAN_CACHE have one reader,
+// GQOPT_DOP and GQOPT_PLAN_CACHE have one reader,
 // ExecOptions::FromEnv(): the structs below the facade and a Database
 // built while they are set keep their defaults.
 TEST(ApiTest, QueryKnobsHaveOneReader) {
   const int env_dop = DefaultDop() == 2 ? 3 : 2;
   const std::string env_dop_text = std::to_string(env_dop);
   ScopedEnv dop("GQOPT_DOP", env_dop_text.c_str());
-  ScopedEnv planner("GQOPT_PLANNER", "greedy");
   ScopedEnv cache("GQOPT_PLAN_CACHE", "0");
 
   EXPECT_EQ(ExecOptions().dop, DefaultDop());
-  EXPECT_EQ(ExecOptions().planner, PlannerKind::kDp);
   EXPECT_TRUE(ExecOptions().use_plan_cache);
   EXPECT_EQ(ExecContext().dop, DefaultDop());
   EXPECT_EQ(OptimizerOptions().dop, DefaultDop());
-  EXPECT_EQ(OptimizerOptions().planner, PlannerKind::kDp);
 
   Database db(YagoSchema(), GenerateYago({.persons = 40}));
   Session session(db);
@@ -381,7 +372,6 @@ TEST(ApiTest, QueryKnobsHaveOneReader) {
 
   ExecOptions from_env = ExecOptions::FromEnv();
   EXPECT_EQ(from_env.dop, env_dop);
-  EXPECT_EQ(from_env.planner, PlannerKind::kGreedy);
   EXPECT_FALSE(from_env.use_plan_cache);
 }
 

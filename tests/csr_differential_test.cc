@@ -30,9 +30,12 @@ ThreadPool& TestPool() {
   return pool;
 }
 
+// Parallel runs drop the row threshold: the suite's inputs are far below
+// kParallelMinRows, which would send every dop-4 run down the serial path.
 ExecContext At(int dop) {
   ExecContext ctx;
   ctx.dop = dop;
+  if (dop > 1) ctx.parallel_min_rows = 0;
   ctx.pool = &TestPool();
   return ctx;
 }

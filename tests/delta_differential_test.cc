@@ -1,9 +1,9 @@
 // Differential tests for the incremental write path: executing against
 // the delta OVERLAY (pending rows sealed next to the frozen base) must be
 // BIT-IDENTICAL — same columns, same rows, same row order — to executing
-// against the fully COMPACTED graph, across join strategies chosen by
-// both planners, unseeded and seeded closures, top-k, at dop 1 and 4,
-// and with the plan cache on and off. Plus the plan
+// against the fully COMPACTED graph, across planned join strategies,
+// unseeded and seeded closures, top-k, at dop 1 and 4, and with the
+// plan cache on and off. Plus the plan
 // retention contract: a data mutation keeps unrelated cached plans
 // serving by pointer identity, re-plans only past the drift threshold,
 // and retained handles observe the freshly written rows.
@@ -51,7 +51,7 @@ void ApplyMutations(Database& db) {
 }
 
 const char* const kQueries[] = {
-    // Flat composition: join-strategy coverage under both planners.
+    // Flat composition: join-strategy coverage.
     "x1, x2 <- (x1, owns/isLocatedIn, x2)",
     // Unseeded closure: the overlay's incremental fixpoint fast path.
     "x1, x2 <- (x1, isMarriedTo+, x2)",
@@ -80,29 +80,24 @@ TEST(DeltaDifferentialTest, OverlayIsBitIdenticalToCompactedExecution) {
   ASSERT_TRUE(compacted.Compact().ok());
   ASSERT_EQ(compacted.delta_stats().pending_edges, 0u);
 
-  for (PlannerKind planner : {PlannerKind::kDp, PlannerKind::kGreedy}) {
-    for (int dop : {1, 4}) {
-      for (bool cache : {false, true}) {
-        ExecOptions options;
-        options.planner = planner;
-        options.dop = dop;
-        options.use_plan_cache = cache;
-        options.timeout_ms = 0;  // correctness sweep, no deadline
-        Session overlay_session(overlay, options);
-        Session compacted_session(compacted, options);
-        for (const char* query : kQueries) {
-          SCOPED_TRACE(std::string(query) + " planner=" +
-                       (planner == PlannerKind::kDp ? "dp" : "greedy") +
-                       " dop=" + std::to_string(dop) +
-                       " cache=" + std::to_string(cache));
-          auto live = overlay_session.Query(query);
-          ASSERT_TRUE(live.ok()) << live.status().ToString();
-          auto exact = compacted_session.Query(query);
-          ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-          // data() compares raw row-major storage: rows AND row order.
-          EXPECT_EQ(live->table.columns(), exact->table.columns());
-          EXPECT_EQ(live->table.data(), exact->table.data());
-        }
+  for (int dop : {1, 4}) {
+    for (bool cache : {false, true}) {
+      ExecOptions options;
+      options.dop = dop;
+      options.use_plan_cache = cache;
+      options.timeout_ms = 0;  // correctness sweep, no deadline
+      Session overlay_session(overlay, options);
+      Session compacted_session(compacted, options);
+      for (const char* query : kQueries) {
+        SCOPED_TRACE(std::string(query) + " dop=" + std::to_string(dop) +
+                     " cache=" + std::to_string(cache));
+        auto live = overlay_session.Query(query);
+        ASSERT_TRUE(live.ok()) << live.status().ToString();
+        auto exact = compacted_session.Query(query);
+        ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+        // data() compares raw row-major storage: rows AND row order.
+        EXPECT_EQ(live->table.columns(), exact->table.columns());
+        EXPECT_EQ(live->table.data(), exact->table.data());
       }
     }
   }
@@ -158,7 +153,6 @@ TEST(DeltaDifferentialTest, DataMutationRetainsUnrelatedCachedPlans) {
 TEST(DeltaDifferentialTest, CardinalityDriftPastThresholdReplans) {
   Database db(YagoSchema(), GenerateYago({.persons = 30, .seed = 35}));
   db.set_delta_merge_rows(1u << 20);
-  db.set_plan_drift_threshold(2.0);
   Session session(db);
   const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
 

@@ -18,8 +18,8 @@ namespace gqopt {
 namespace {
 
 // The facade-driven relational run. Base options come from the
-// environment (ExecOptions::FromEnv) so the tier-1 GQOPT_DOP,
-// GQOPT_PLANNER and GQOPT_PLAN_CACHE re-runs reach this suite too.
+// environment (ExecOptions::FromEnv) so the tier-1 GQOPT_DOP and
+// GQOPT_PLAN_CACHE re-runs reach this suite too.
 std::vector<std::vector<NodeId>> RelationalRows(const api::Database& db,
                                                 const Ucqt& query) {
   api::ExecOptions options = api::ExecOptions::FromEnv();

@@ -1,6 +1,5 @@
 // Optimizer rule tests: identity-projection removal, Distinct collapsing,
-// join-cluster reordering and fixpoint seeding. Every case runs under both
-// join-order planners (the DP enumerator and the greedy pass).
+// join-cluster reordering and fixpoint seeding.
 
 #include <gtest/gtest.h>
 
@@ -35,101 +34,94 @@ bool HasSeededClosure(const RaExprPtr& e) {
   return HasSeededClosure(e->left()) || HasSeededClosure(e->right());
 }
 
-class OptimizerTest : public ::testing::TestWithParam<PlannerKind> {
+class OptimizerTest : public ::testing::Test {
  protected:
   OptimizerTest() : graph_(testing::Fig2Graph()), catalog_(graph_) {}
-
-  // The default options under the planner this case runs with.
-  OptimizerOptions Options() const {
-    OptimizerOptions options;
-    options.planner = GetParam();
-    return options;
-  }
 
   PropertyGraph graph_;
   Catalog catalog_;
 };
 
-TEST_P(OptimizerTest, RemovesIdentityProjection) {
+TEST_F(OptimizerTest, RemovesIdentityProjection) {
   RaExprPtr scan = RaExpr::EdgeScan("owns", "a", "b");
   RaExprPtr plan =
       RaExpr::Project(scan, {{"a", "a"}, {"b", "b"}});
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   EXPECT_EQ(optimized.get(), scan.get());
 }
 
-TEST_P(OptimizerTest, KeepsRenamingProjection) {
+TEST_F(OptimizerTest, KeepsRenamingProjection) {
   RaExprPtr plan = RaExpr::Project(RaExpr::EdgeScan("owns", "a", "b"),
                                    {{"a", "x"}, {"b", "b"}});
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   EXPECT_EQ(optimized->op(), RaOp::kProject);
 }
 
-TEST_P(OptimizerTest, KeepsReorderingProjection) {
+TEST_F(OptimizerTest, KeepsReorderingProjection) {
   // Same names but swapped order is NOT an identity.
   RaExprPtr plan = RaExpr::Project(RaExpr::EdgeScan("owns", "a", "b"),
                                    {{"b", "b"}, {"a", "a"}});
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   EXPECT_EQ(optimized->op(), RaOp::kProject);
 }
 
-TEST_P(OptimizerTest, CollapsesNestedDistinct) {
+TEST_F(OptimizerTest, CollapsesNestedDistinct) {
   RaExprPtr plan = RaExpr::Distinct(
       RaExpr::Distinct(RaExpr::EdgeScan("owns", "a", "b")));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   EXPECT_EQ(CountOp(optimized, RaOp::kDistinct), 1u);
 }
 
-TEST_P(OptimizerTest, CollapsesDistinctThroughIdentityProject) {
+TEST_F(OptimizerTest, CollapsesDistinctThroughIdentityProject) {
   RaExprPtr inner = RaExpr::Distinct(RaExpr::EdgeScan("owns", "a", "b"));
   RaExprPtr plan = RaExpr::Distinct(
       RaExpr::Project(inner, {{"a", "a"}, {"b", "b"}}));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   EXPECT_EQ(CountOp(optimized, RaOp::kDistinct), 1u);
 }
 
-TEST_P(OptimizerTest, SeedsClosureJoinedOnSource) {
+TEST_F(OptimizerTest, SeedsClosureJoinedOnSource) {
   RaExprPtr plan = RaExpr::Join(
       RaExpr::EdgeScan("owns", "x", "z"),
       RaExpr::TransitiveClosure(RaExpr::EdgeScan("isLocatedIn", "z", "y"),
                                 "z", "y"));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   EXPECT_TRUE(HasSeededClosure(optimized)) << optimized->ToString();
 }
 
-TEST_P(OptimizerTest, SeedingCanBeDisabled) {
+TEST_F(OptimizerTest, SeedingCanBeDisabled) {
   RaExprPtr plan = RaExpr::Join(
       RaExpr::EdgeScan("owns", "x", "z"),
       RaExpr::TransitiveClosure(RaExpr::EdgeScan("isLocatedIn", "z", "y"),
                                 "z", "y"));
-  OptimizerOptions options = Options();
+  OptimizerOptions options;
   options.enable_fixpoint_seeding = false;
   RaExprPtr optimized = OptimizePlan(plan, catalog_, options);
   EXPECT_FALSE(HasSeededClosure(optimized));
 }
 
-TEST_P(OptimizerTest, DoesNotSeedDisconnectedClosure) {
+TEST_F(OptimizerTest, DoesNotSeedDisconnectedClosure) {
   // The closure shares no column with the other conjunct.
   RaExprPtr plan = RaExpr::Join(
       RaExpr::EdgeScan("owns", "x", "z"),
       RaExpr::TransitiveClosure(RaExpr::EdgeScan("isLocatedIn", "p", "q"),
                                 "p", "q"));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   EXPECT_FALSE(HasSeededClosure(optimized));
 }
 
-TEST_P(OptimizerTest, AlreadySeededClosureIsLeftAlone) {
+TEST_F(OptimizerTest, AlreadySeededClosureIsLeftAlone) {
   RaExprPtr seed = RaExpr::NodeScan({"PROPERTY"}, "z");
   RaExprPtr tc = RaExpr::TransitiveClosure(
       RaExpr::EdgeScan("isLocatedIn", "z", "y"), "z", "y", seed,
       SeedSide::kSource);
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "z"), tc);
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   // Still exactly one closure, still source-seeded by the node scan.
   EXPECT_EQ(CountOp(optimized, RaOp::kTransitiveClosure), 1u);
 }
 
-TEST_P(OptimizerTest, OptimizationPreservesResults) {
+TEST_F(OptimizerTest, OptimizationPreservesResults) {
   for (const char* text : {
            "x, y <- (x, owns/isLocatedIn+, y)",
            "x, y <- (x, livesIn/isLocatedIn/isLocatedIn, y)",
@@ -145,7 +137,7 @@ TEST_P(OptimizerTest, OptimizationPreservesResults) {
     auto raw = executor.Run(*plan);
     ASSERT_TRUE(raw.ok()) << text;
     for (bool seeding : {false, true}) {
-      OptimizerOptions options = Options();
+      OptimizerOptions options;
       options.enable_fixpoint_seeding = seeding;
       auto optimized = executor.Run(OptimizePlan(*plan, catalog_, options));
       ASSERT_TRUE(optimized.ok()) << text;
@@ -158,24 +150,24 @@ TEST_P(OptimizerTest, OptimizationPreservesResults) {
   }
 }
 
-TEST_P(OptimizerTest, JoinReorderingKeepsColumns) {
+TEST_F(OptimizerTest, JoinReorderingKeepsColumns) {
   auto query = ParseUcqt(
       "x <- (x, owns, z), (z, isLocatedIn, c), (x, livesIn, c2)");
   ASSERT_TRUE(query.ok());
   auto plan = UcqtToRa(*query);
   ASSERT_TRUE(plan.ok());
-  RaExprPtr optimized = OptimizePlan(*plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(*plan, catalog_);
   EXPECT_EQ(optimized->columns(), (*plan)->columns());
 }
 
-TEST_P(OptimizerTest, EstimatorOrdersSelectiveScansFirst) {
+TEST_F(OptimizerTest, EstimatorOrdersSelectiveScansFirst) {
   // In a cluster {owns (1 row), isLocatedIn (4 rows)}, the greedy order
   // starts from the smaller relation; verify via the shape: left-most leaf
   // of the join tree is the owns scan.
   RaExprPtr plan = RaExpr::Join(
       RaExpr::EdgeScan("isLocatedIn", "z", "y"),
       RaExpr::EdgeScan("owns", "x", "z"));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   const RaExpr* leftmost = optimized.get();
   while (leftmost->left()) leftmost = leftmost->left().get();
   EXPECT_EQ(leftmost->label(), "owns");
@@ -183,7 +175,7 @@ TEST_P(OptimizerTest, EstimatorOrdersSelectiveScansFirst) {
 
 // ---- Physical properties and join-strategy annotation ---------------------
 
-TEST_P(OptimizerTest, SortedPrefixPropagatesBottomUp) {
+TEST_F(OptimizerTest, SortedPrefixPropagatesBottomUp) {
   RaExprPtr scan = RaExpr::EdgeScan("owns", "x", "y");
   EXPECT_EQ(scan->sorted_prefix(), 2u);
   EXPECT_EQ(RaExpr::NodeScan({"PERSON"}, "n")->sorted_prefix(), 1u);
@@ -200,26 +192,26 @@ TEST_P(OptimizerTest, SortedPrefixPropagatesBottomUp) {
   EXPECT_EQ(RaExpr::TransitiveClosure(scan, "x", "y")->sorted_prefix(), 2u);
 }
 
-TEST_P(OptimizerTest, AnnotatesOffsetJoin) {
+TEST_F(OptimizerTest, AnnotatesOffsetJoin) {
   // Chain join: the right side is sorted on the single shared column.
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "z"),
                                 RaExpr::EdgeScan("isLocatedIn", "z", "y"));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   std::string explain = ExplainPlan(optimized, catalog_);
   EXPECT_NE(explain.find("[offset]"), std::string::npos) << explain;
 }
 
-TEST_P(OptimizerTest, AnnotatesMergeJoinOnMultiColumnKeys) {
+TEST_F(OptimizerTest, AnnotatesMergeJoinOnMultiColumnKeys) {
   // Both sides sorted with the two shared columns leading: a shape the
   // bool-based detection could only hash (it required one shared column).
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "y"),
                                 RaExpr::EdgeScan("livesIn", "x", "y"));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   std::string explain = ExplainPlan(optimized, catalog_);
   EXPECT_NE(explain.find("[merge]"), std::string::npos) << explain;
 }
 
-TEST_P(OptimizerTest, ColumnDroppingProjectionStillJoinsViaOffset) {
+TEST_F(OptimizerTest, ColumnDroppingProjectionStillJoinsViaOffset) {
   // Distinct(Project(keep leading column)) stays sorted under the prefix
   // model, so the join is annotated [offset] — the bool model lost
   // sortedness on projection and hashed this shape.
@@ -228,19 +220,18 @@ TEST_P(OptimizerTest, ColumnDroppingProjectionStillJoinsViaOffset) {
   EXPECT_EQ(proj->sorted_prefix(), 1u);
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "z"),
                                 RaExpr::Distinct(proj));
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   std::string explain = ExplainPlan(optimized, catalog_);
   EXPECT_NE(explain.find("[offset]"), std::string::npos) << explain;
 }
 
-TEST_P(OptimizerTest, HashFallbackPicksRadixBySize) {
+TEST_F(OptimizerTest, HashFallbackPicksRadixBySize) {
   // Shared column is trailing on both sides: hash join. On the tiny
   // Fig 2 catalog the estimated build is small => flat; on a bulk graph
   // it crosses the radix threshold.
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "z"),
                                 RaExpr::EdgeScan("livesIn", "y", "z"));
-  std::string small =
-      ExplainPlan(OptimizePlan(plan, catalog_, Options()), catalog_);
+  std::string small = ExplainPlan(OptimizePlan(plan, catalog_), catalog_);
   EXPECT_NE(small.find("[flat-hash"), std::string::npos) << small;
 
   Rng rng(23);
@@ -253,12 +244,12 @@ TEST_P(OptimizerTest, HashFallbackPicksRadixBySize) {
                       static_cast<NodeId>(rng.Uniform(1000)));
   }
   Catalog big_catalog(big);
-  std::string large = ExplainPlan(OptimizePlan(plan, big_catalog, Options()),
+  std::string large = ExplainPlan(OptimizePlan(plan, big_catalog),
                                   big_catalog);
   EXPECT_NE(large.find("[radix-hash"), std::string::npos) << large;
 }
 
-TEST_P(OptimizerTest, AnnotatesParallelismHint) {
+TEST_F(OptimizerTest, AnnotatesParallelismHint) {
   RaExprPtr plan = RaExpr::Join(RaExpr::EdgeScan("owns", "x", "z"),
                                 RaExpr::EdgeScan("livesIn", "y", "z"));
   Rng rng(29);
@@ -275,14 +266,14 @@ TEST_P(OptimizerTest, AnnotatesParallelismHint) {
   // Planning for dop 8 over inputs above the parallel row threshold:
   // the hash join is annotated with the predicted parallelism, printed
   // inside the strategy bracket.
-  OptimizerOptions parallel = Options();
+  OptimizerOptions parallel;
   parallel.dop = 8;
   std::string hinted =
       ExplainPlan(OptimizePlan(plan, big_catalog, parallel), big_catalog);
   EXPECT_NE(hinted.find("[radix-hash p=8]"), std::string::npos) << hinted;
 
   // Serial planning, pinned explicitly with dop = 1, never prints p=.
-  OptimizerOptions serial = Options();
+  OptimizerOptions serial;
   serial.dop = 1;
   std::string unhinted =
       ExplainPlan(OptimizePlan(plan, big_catalog, serial), big_catalog);
@@ -295,18 +286,18 @@ TEST_P(OptimizerTest, AnnotatesParallelismHint) {
   EXPECT_EQ(small.find("p="), std::string::npos) << small;
 }
 
-TEST_P(OptimizerTest, ExplainShowsOrderingProperty) {
+TEST_F(OptimizerTest, ExplainShowsOrderingProperty) {
   RaExprPtr plan = RaExpr::EdgeScan("owns", "x", "y");
   std::string explain = ExplainPlan(plan, catalog_);
   EXPECT_NE(explain.find("sorted = 2"), std::string::npos) << explain;
 }
 
-TEST_P(OptimizerTest, FusesLimitOverSortIntoTopK) {
+TEST_F(OptimizerTest, FusesLimitOverSortIntoTopK) {
   RaExprPtr plan = RaExpr::Limit(
       RaExpr::Sort(RaExpr::EdgeScan("owns", "x", "y"),
                    {{"y", true}}),
       5);
-  RaExprPtr optimized = OptimizePlan(plan, catalog_, Options());
+  RaExprPtr optimized = OptimizePlan(plan, catalog_);
   EXPECT_EQ(optimized->op(), RaOp::kTopK);
   EXPECT_EQ(optimized->limit(), 5u);
   ASSERT_EQ(optimized->sort_keys().size(), 1u);
@@ -315,45 +306,38 @@ TEST_P(OptimizerTest, FusesLimitOverSortIntoTopK) {
   EXPECT_EQ(CountOp(optimized, RaOp::kSort), 0u);
 }
 
-TEST_P(OptimizerTest, ElidesSortWhenOrderAlreadyDelivered) {
+TEST_F(OptimizerTest, ElidesSortWhenOrderAlreadyDelivered) {
   // EdgeScan output is fully sorted ascending on (x, y): an ascending
   // Sort on the leading prefix is a no-op and disappears.
   RaExprPtr scan = RaExpr::EdgeScan("owns", "x", "y");
   RaExprPtr optimized =
-      OptimizePlan(RaExpr::Sort(scan, {{"x", false}}), catalog_, Options());
+      OptimizePlan(RaExpr::Sort(scan, {{"x", false}}), catalog_);
   EXPECT_EQ(optimized.get(), scan.get());
   // A descending request is NOT delivered; the Sort must stay.
   RaExprPtr kept =
-      OptimizePlan(RaExpr::Sort(scan, {{"x", true}}), catalog_, Options());
+      OptimizePlan(RaExpr::Sort(scan, {{"x", true}}), catalog_);
   EXPECT_EQ(kept->op(), RaOp::kSort);
 }
 
-TEST_P(OptimizerTest, DowngradesTopKToLimitWhenOrderDelivered) {
+TEST_F(OptimizerTest, DowngradesTopKToLimitWhenOrderDelivered) {
   RaExprPtr scan = RaExpr::EdgeScan("owns", "x", "y");
   RaExprPtr optimized = OptimizePlan(
-      RaExpr::TopK(scan, {{"x", false}, {"y", false}}, 3), catalog_, Options());
+      RaExpr::TopK(scan, {{"x", false}, {"y", false}}, 3), catalog_);
   EXPECT_EQ(optimized->op(), RaOp::kLimit);
   EXPECT_EQ(optimized->limit(), 3u);
   EXPECT_EQ(optimized->left().get(), scan.get());
 }
 
-TEST_P(OptimizerTest, ExplainAnnotatesTopK) {
+TEST_F(OptimizerTest, ExplainAnnotatesTopK) {
   RaExprPtr plan = RaExpr::Limit(
       RaExpr::Sort(RaExpr::EdgeScan("owns", "x", "y"),
                    {{"y", true}, {"x", false}}),
       4);
   std::string explain =
-      ExplainPlan(OptimizePlan(plan, catalog_, Options()), catalog_);
+      ExplainPlan(OptimizePlan(plan, catalog_), catalog_);
   EXPECT_NE(explain.find("topk k=4"), std::string::npos) << explain;
   EXPECT_NE(explain.find("keys=y desc,x"), std::string::npos) << explain;
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Planners, OptimizerTest,
-    ::testing::Values(PlannerKind::kDp, PlannerKind::kGreedy),
-    [](const ::testing::TestParamInfo<PlannerKind>& info) {
-      return info.param == PlannerKind::kDp ? "dp" : "greedy";
-    });
 
 }  // namespace
 }  // namespace gqopt

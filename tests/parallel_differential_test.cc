@@ -190,8 +190,7 @@ TEST(ParallelDifferentialTest, EmptyInputs) {
 TEST(ParallelDifferentialTest, OptimizedPlansEndToEnd) {
   // The full pipeline at a parallel-planning optimizer setting: annotated
   // plans (with p= hints) and an optimizer-seeded closure must execute
-  // dop-agnostically too, under both join-order planners. "e3" is sparse
-  // so the closure stays small.
+  // dop-agnostically too. "e3" is sparse so the closure stays small.
   Rng rng(19);
   PropertyGraph graph = RandomGraph(20000, 40000, 19);
   for (size_t i = 0; i < 6000; ++i) {
@@ -199,18 +198,15 @@ TEST(ParallelDifferentialTest, OptimizedPlansEndToEnd) {
                         static_cast<NodeId>(rng.Uniform(20000)));
   }
   Catalog catalog(graph);
+  OptimizerOptions options;
+  options.dop = 4;
   RaExprPtr plan = RaExpr::Join(
       RaExpr::Join(RaExpr::EdgeScan("e1", "x", "y"),
                    RaExpr::Project(RaExpr::EdgeScan("e2", "z", "y"),
                                    {{"y", "y"}, {"z", "z"}})),
       RaExpr::TransitiveClosure(RaExpr::EdgeScan("e3", "z", "w"), "z", "w"));
-  for (PlannerKind planner : {PlannerKind::kDp, PlannerKind::kGreedy}) {
-    SCOPED_TRACE(planner == PlannerKind::kDp ? "dp" : "greedy");
-    OptimizerOptions options;
-    options.dop = 4;
-    options.planner = planner;
-    ExpectDopAgnostic(catalog, OptimizePlan(plan, catalog, options));
-  }
+  RaExprPtr optimized = OptimizePlan(plan, catalog, options);
+  ExpectDopAgnostic(catalog, optimized);
 }
 
 }  // namespace

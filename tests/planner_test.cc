@@ -1,4 +1,5 @@
-// Cost-based DP join enumerator tests (src/ra/planner/):
+// Cost-based DP join enumerator tests (src/ra/planner/), against the
+// greedy pass it falls back to (reached here with dp_max_relations = 1):
 //  - DP-vs-greedy differential: identical result sets on the LDBC and
 //    YAGO workloads, and DP plan cost never above greedy plan cost on
 //    closure-free join clusters (greedy's left-deep connected trees are a
@@ -35,15 +36,12 @@
 namespace gqopt {
 namespace {
 
-OptimizerOptions DpOptions() {
-  OptimizerOptions options;
-  options.planner = PlannerKind::kDp;
-  return options;
-}
+OptimizerOptions DpOptions() { return {}; }
 
+// A DP cutoff of one relation sends every cluster to the greedy pass.
 OptimizerOptions GreedyOptions() {
   OptimizerOptions options;
-  options.planner = PlannerKind::kGreedy;
+  options.dp_max_relations = 1;
   return options;
 }
 

@@ -21,13 +21,6 @@ using testing::kN5;
 using testing::kN6;
 using testing::kN7;
 
-// The join-order planners every optimized query runs under.
-constexpr PlannerKind kPlanners[] = {PlannerKind::kDp, PlannerKind::kGreedy};
-
-const char* PlannerName(PlannerKind planner) {
-  return planner == PlannerKind::kDp ? "dp" : "greedy";
-}
-
 class RaTest : public ::testing::Test {
  protected:
   RaTest() : graph_(testing::Fig2Graph()), catalog_(graph_) {}
@@ -39,17 +32,13 @@ class RaTest : public ::testing::Test {
     return result.ok() ? *result : Table{};
   }
 
-  // Runs `text` unoptimized, or optimized under `planner`.
-  Table RunQuery(const std::string& text, bool optimize = true,
-                 PlannerKind planner = PlannerKind::kDp) {
+  Table RunQuery(const std::string& text, bool optimize = true) {
     auto query = ParseUcqt(text);
     EXPECT_TRUE(query.ok()) << query.status().ToString();
     auto plan = UcqtToRa(*query);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    OptimizerOptions options;
-    options.planner = planner;
     RaExprPtr final_plan =
-        optimize ? OptimizePlan(*plan, catalog_, options) : *plan;
+        optimize ? OptimizePlan(*plan, catalog_) : *plan;
     return Run(final_plan);
   }
 
@@ -158,14 +147,12 @@ TEST_F(RaTest, SeededMatchesUnseededAfterJoin) {
   // optimizer seeds the closure or not.
   Table unoptimized = RunQuery(
       "x, y <- (x, owns/isLocatedIn+, y)", /*optimize=*/false);
+  Table optimized = RunQuery("x, y <- (x, owns/isLocatedIn+, y)",
+                             /*optimize=*/true);
   unoptimized.SortDistinct();
+  optimized.SortDistinct();
+  EXPECT_EQ(unoptimized.data(), optimized.data());
   EXPECT_EQ(unoptimized.rows(), 3u);
-  for (PlannerKind planner : kPlanners) {
-    Table optimized = RunQuery("x, y <- (x, owns/isLocatedIn+, y)",
-                               /*optimize=*/true, planner);
-    optimized.SortDistinct();
-    EXPECT_EQ(unoptimized.data(), optimized.data()) << PlannerName(planner);
-  }
 }
 
 TEST_F(RaTest, OptimizerSeedsClosureInJoinCluster) {
@@ -173,6 +160,7 @@ TEST_F(RaTest, OptimizerSeedsClosureInJoinCluster) {
   ASSERT_TRUE(query.ok());
   auto plan = UcqtToRa(*query);
   ASSERT_TRUE(plan.ok());
+  RaExprPtr optimized = OptimizePlan(*plan, catalog_);
   // Find a seeded closure somewhere in the plan.
   std::function<bool(const RaExprPtr&)> has_seeded =
       [&](const RaExprPtr& e) -> bool {
@@ -183,13 +171,7 @@ TEST_F(RaTest, OptimizerSeedsClosureInJoinCluster) {
     }
     return has_seeded(e->left()) || has_seeded(e->right());
   };
-  for (PlannerKind planner : kPlanners) {
-    OptimizerOptions options;
-    options.planner = planner;
-    RaExprPtr optimized = OptimizePlan(*plan, catalog_, options);
-    EXPECT_TRUE(has_seeded(optimized))
-        << PlannerName(planner) << ": " << optimized->ToString();
-  }
+  EXPECT_TRUE(has_seeded(optimized)) << optimized->ToString();
 }
 
 TEST_F(RaTest, QueryTranslationMatchesGraphEngine) {
@@ -207,20 +189,17 @@ TEST_F(RaTest, QueryTranslationMatchesGraphEngine) {
            "x, y <- (x, isLocatedIn, y), label(x) = CITY",
            "x <- (x, isMarriedTo/isMarriedTo, x)",
        }) {
+    Table table = RunQuery(text);
     auto query = ParseUcqt(text);
     ASSERT_TRUE(query.ok());
     GraphEngine engine(graph_);
     auto expected = engine.Run(*query);
     ASSERT_TRUE(expected.ok()) << text;
-    for (PlannerKind planner : kPlanners) {
-      SCOPED_TRACE(PlannerName(planner));
-      Table table = RunQuery(text, /*optimize=*/true, planner);
-      table.SortDistinct();
-      ASSERT_EQ(table.rows(), expected->rows.size()) << text;
-      for (size_t r = 0; r < table.rows(); ++r) {
-        for (size_t c = 0; c < table.arity(); ++c) {
-          EXPECT_EQ(table.At(r, c), expected->rows[r][c]) << text;
-        }
+    table.SortDistinct();
+    ASSERT_EQ(table.rows(), expected->rows.size()) << text;
+    for (size_t r = 0; r < table.rows(); ++r) {
+      for (size_t c = 0; c < table.arity(); ++c) {
+        EXPECT_EQ(table.At(r, c), expected->rows[r][c]) << text;
       }
     }
   }

@@ -376,6 +376,9 @@ TEST(ServingShedTest, FullQueueShedsWithTypedOverloadedStatus) {
   slow.apply_schema_rewrite = false;  // the chain db has no schema
   slow.timeout_ms = 0;
   ExecOptions cheap = slow;
+  // The ladder's rung skips the rewrite, so EXPLAIN asks for one.
+  ExecOptions rewriting = cheap;
+  rewriting.apply_schema_rewrite = true;
 
   ServerOptions server_options;
   server_options.workers = 1;
@@ -414,9 +417,10 @@ TEST(ServingShedTest, FullQueueShedsWithTypedOverloadedStatus) {
     }
     ++attempt;
     if (!observed_degraded_explain) {
-      auto explained = server.Explain("x1, x2 <- (x1, next, x2)", cheap);
+      auto explained =
+          server.Explain("x1, x2 <- (x1, next, x2)", rewriting);
       if (explained.ok() &&
-          explained->find("degradation: greedy-planner") !=
+          explained->find("degradation: skipped-rewrite") !=
               std::string::npos) {
         observed_degraded_explain = true;
       }
@@ -442,42 +446,48 @@ TEST(ServingShedTest, FullQueueShedsWithTypedOverloadedStatus) {
 
 TEST(DegradationTest, PressureLevels) {
   EXPECT_EQ(Server::PressureLevel(0, 16), 0);
-  EXPECT_EQ(Server::PressureLevel(7, 16), 0);
-  EXPECT_EQ(Server::PressureLevel(8, 16), 1);   // >= 1/2 full
-  EXPECT_EQ(Server::PressureLevel(11, 16), 1);
-  EXPECT_EQ(Server::PressureLevel(12, 16), 2);  // >= 3/4 full
-  EXPECT_EQ(Server::PressureLevel(16, 16), 2);
-  EXPECT_EQ(Server::PressureLevel(1, 1), 2);
+  EXPECT_EQ(Server::PressureLevel(8, 16), 0);
+  EXPECT_EQ(Server::PressureLevel(11, 16), 0);
+  EXPECT_EQ(Server::PressureLevel(12, 16), 1);  // >= 3/4 full
+  EXPECT_EQ(Server::PressureLevel(16, 16), 1);
+  EXPECT_EQ(Server::PressureLevel(1, 1), 1);
   EXPECT_EQ(Server::PressureLevel(5, 0), 0);  // capacity 0: ladder off
 }
 
 TEST(DegradationTest, ApplyDegradationRungs) {
   ExecOptions options;
-  options.planner = PlannerKind::kDp;
   DegradationReport none = Server::ApplyDegradation(0, &options);
-  EXPECT_FALSE(none.any());
+  EXPECT_FALSE(none.skipped_rewrite);
   EXPECT_EQ(none.Summary(), "none");
-  EXPECT_EQ(options.planner, PlannerKind::kDp);
-
-  DegradationReport level1 = Server::ApplyDegradation(1, &options);
-  EXPECT_TRUE(level1.greedy_planner);
-  EXPECT_FALSE(level1.skipped_rewrite);
-  EXPECT_EQ(options.planner, PlannerKind::kGreedy);
   EXPECT_TRUE(options.apply_schema_rewrite);
 
-  ExecOptions full;
-  full.planner = PlannerKind::kDp;
-  DegradationReport level2 = Server::ApplyDegradation(2, &full);
-  EXPECT_TRUE(level2.greedy_planner);
-  EXPECT_TRUE(level2.skipped_rewrite);
-  EXPECT_FALSE(full.apply_schema_rewrite);
-  EXPECT_NE(level2.Summary().find("greedy-planner"), std::string::npos);
-  EXPECT_NE(level2.Summary().find("pressure 2"), std::string::npos);
+  DegradationReport pressed = Server::ApplyDegradation(1, &options);
+  EXPECT_TRUE(pressed.skipped_rewrite);
+  EXPECT_FALSE(options.apply_schema_rewrite);
+  EXPECT_EQ(pressed.Summary(), "skipped-rewrite (pressure 1)");
 
-  // Already-greedy options have nothing to downgrade at level 1.
-  ExecOptions greedy;
-  greedy.planner = PlannerKind::kGreedy;
-  EXPECT_FALSE(Server::ApplyDegradation(1, &greedy).greedy_planner);
+  // Options that already skip the rewrite have nothing to degrade.
+  EXPECT_FALSE(Server::ApplyDegradation(1, &options).skipped_rewrite);
+}
+
+// Below 3/4 of capacity the ladder leaves the options as they are, so a
+// request under moderate load plans exactly like an idle one and its
+// prepare hits the cache entry the default options stored.
+TEST(DegradationTest, ModerateLoadKeepsTheDefaultPlan) {
+  Database db(YagoSchema(), GenerateYago({.persons = 40}));
+  const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
+  ASSERT_TRUE(db.Prepare(text).ok());
+  const size_t capacity = 8;
+  for (size_t depth = 0; depth * 4 < capacity * 3; ++depth) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    ExecOptions options;
+    EXPECT_FALSE(Server::ApplyDegradation(
+                     Server::PressureLevel(depth, capacity), &options)
+                     .skipped_rewrite);
+    bool hit = false;
+    ASSERT_TRUE(db.Prepare(text, options, &hit).ok());
+    EXPECT_TRUE(hit);
+  }
 }
 
 // ---- Retry and backoff -----------------------------------------------------

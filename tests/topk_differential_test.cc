@@ -1,10 +1,10 @@
 // Differential tests for the ordered operators: Sort, Limit, and the
 // bounded-heap TopK must return exactly the naive sort-then-truncate
 // answer — same rows, same row order — across every join strategy, at
-// dop 1/2/4, under both planners, with the memo cold or warm, and with
-// the seeded-closure frontier prune on or off. Ties are pinned by the
-// total order (sort keys first, remaining columns ascending), so every
-// assertion is on exact row sequences, not sorted sets.
+// dop 1/2/4, with the memo cold or warm, and with the seeded-closure
+// frontier prune on or off. Ties are pinned by the total order (sort
+// keys first, remaining columns ascending), so every assertion is on
+// exact row sequences, not sorted sets.
 
 #include <gtest/gtest.h>
 
@@ -375,7 +375,7 @@ TEST_F(TopKDifferentialTest, AscendingSortOutputStaysMergeEligible) {
   EXPECT_EQ(t.ascending_prefix(), 2u);
 }
 
-// ---- Both planners and plan cache on/off, via the facade -------------------
+// ---- Dop and plan cache on/off, via the facade -----------------------------
 
 class TopKFacadeTest : public ::testing::Test {
  protected:
@@ -385,38 +385,33 @@ class TopKFacadeTest : public ::testing::Test {
   api::Database db_;
 };
 
-TEST_F(TopKFacadeTest, OrderByLimitIdenticalAcrossPlannersAndCache) {
+TEST_F(TopKFacadeTest, OrderByLimitIdenticalAcrossDopAndCache) {
   const std::string text =
       "x, z <- (x, e1/e2, z) order by z desc, x limit 11";
   const std::string unlimited = "x, z <- (x, e1/e2, z)";
 
   std::vector<std::vector<NodeId>> reference;
   bool have_reference = false;
-  for (PlannerKind planner : {PlannerKind::kDp, PlannerKind::kGreedy}) {
-    for (bool cache : {false, true}) {
-      for (int dop : {1, 2, 4}) {
-        api::Session session(db_);
-        session.options().planner = planner;
-        session.options().use_plan_cache = cache;
-        session.options().dop = dop;
-        session.options().parallel_min_rows = 0;
-        session.options().apply_schema_rewrite = false;
-        auto result = session.Query(text);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        auto rows = RowsOf(result->table);
-        if (!have_reference) {
-          reference = rows;
-          have_reference = true;
-          // Pin against the naive specification once.
-          auto full = session.Query(unlimited);
-          ASSERT_TRUE(full.ok()) << full.status().ToString();
-          EXPECT_EQ(reference,
-                    NaiveTopK(full->table, {{"z", true}, {"x", false}}, 11));
-        } else {
-          EXPECT_EQ(rows, reference)
-              << "planner=" << (planner == PlannerKind::kDp ? "dp" : "greedy")
-              << " cache=" << cache << " dop=" << dop;
-        }
+  for (bool cache : {false, true}) {
+    for (int dop : {1, 2, 4}) {
+      api::Session session(db_);
+      session.options().use_plan_cache = cache;
+      session.options().dop = dop;
+      session.options().parallel_min_rows = 0;
+      session.options().apply_schema_rewrite = false;
+      auto result = session.Query(text);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      auto rows = RowsOf(result->table);
+      if (!have_reference) {
+        reference = rows;
+        have_reference = true;
+        // Pin against the naive specification once.
+        auto full = session.Query(unlimited);
+        ASSERT_TRUE(full.ok()) << full.status().ToString();
+        EXPECT_EQ(reference,
+                  NaiveTopK(full->table, {{"z", true}, {"x", false}}, 11));
+      } else {
+        EXPECT_EQ(rows, reference) << "cache=" << cache << " dop=" << dop;
       }
     }
   }
@@ -425,8 +420,8 @@ TEST_F(TopKFacadeTest, OrderByLimitIdenticalAcrossPlannersAndCache) {
 
 TEST_F(TopKFacadeTest, OffsetWindowIsASliceOfTheOrderedOutput) {
   // `limit N offset M` must return exactly rows [M, M + N) of the full
-  // ordered output — across both planners, dop, and the plan cache (the
-  // bounded heap keeps N + M candidates, then drops the first M).
+  // ordered output — across dop and the plan cache (the bounded heap
+  // keeps N + M candidates, then drops the first M).
   const std::string ordered = "x, z <- (x, e1/e2, z) order by z desc, x";
   api::Session reference_session(db_);
   reference_session.options().apply_schema_rewrite = false;
@@ -437,21 +432,17 @@ TEST_F(TopKFacadeTest, OffsetWindowIsASliceOfTheOrderedOutput) {
   std::vector<std::vector<NodeId>> expected(full_rows.begin() + 5,
                                             full_rows.begin() + 16);
 
-  for (PlannerKind planner : {PlannerKind::kDp, PlannerKind::kGreedy}) {
-    for (bool cache : {false, true}) {
-      for (int dop : {1, 4}) {
-        api::Session session(db_);
-        session.options().planner = planner;
-        session.options().use_plan_cache = cache;
-        session.options().dop = dop;
-        session.options().parallel_min_rows = 0;
-        session.options().apply_schema_rewrite = false;
-        auto window = session.Query(ordered + " limit 11 offset 5");
-        ASSERT_TRUE(window.ok()) << window.status().ToString();
-        EXPECT_EQ(RowsOf(window->table), expected)
-            << "planner=" << (planner == PlannerKind::kDp ? "dp" : "greedy")
-            << " cache=" << cache << " dop=" << dop;
-      }
+  for (bool cache : {false, true}) {
+    for (int dop : {1, 4}) {
+      api::Session session(db_);
+      session.options().use_plan_cache = cache;
+      session.options().dop = dop;
+      session.options().parallel_min_rows = 0;
+      session.options().apply_schema_rewrite = false;
+      auto window = session.Query(ordered + " limit 11 offset 5");
+      ASSERT_TRUE(window.ok()) << window.status().ToString();
+      EXPECT_EQ(RowsOf(window->table), expected)
+          << "cache=" << cache << " dop=" << dop;
     }
   }
 

@@ -1,7 +1,7 @@
 // gqopt_cli — interactive shell around the api::Database facade: load or
 // generate a schema + graph, then rewrite, explain, translate and run UCQT
-// queries. Environment knobs (GQOPT_DOP, GQOPT_PLANNER, GQOPT_TIMEOUT_MS,
-// GQOPT_REPS, GQOPT_PLAN_CACHE) are read exactly once, into the session's
+// queries. Environment knobs (GQOPT_DOP, GQOPT_TIMEOUT_MS, GQOPT_REPS,
+// GQOPT_PLAN_CACHE) are read exactly once, into the session's
 // ExecOptions at startup; see src/api/options.h for the precedence rule.
 //
 //   $ gqopt_cli                 # starts with the YAGO demo dataset

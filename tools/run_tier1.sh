@@ -4,14 +4,13 @@
 #
 # Usage: tools/run_tier1.sh [--no-bench] [--tsan] [--asan] [--topk]
 #
-# The query knobs GQOPT_DOP, GQOPT_PLANNER and GQOPT_PLAN_CACHE have one
-# reader, api::ExecOptions::FromEnv(). The suites that plan or execute
-# set dop, planner and plan-cache use themselves, so the plain ctest run
-# covers serial and dop-4 execution, both planners and uncached prepares
-# on any core count. The env legs below re-run only the suites that
-# build their options with FromEnv() (api, end_to_end, serving), once
-# per non-default knob value: GQOPT_DOP=4, GQOPT_PLANNER=greedy and
-# GQOPT_PLAN_CACHE=0.
+# The query knobs GQOPT_DOP and GQOPT_PLAN_CACHE have one reader,
+# api::ExecOptions::FromEnv(). The suites that plan or execute set dop
+# and plan-cache use themselves, so the plain ctest run covers serial
+# and dop-4 execution and uncached prepares on any core count. The env
+# legs below re-run only the suites that build their options with
+# FromEnv() (api, end_to_end, serving), once per non-default knob value:
+# GQOPT_DOP=4 and GQOPT_PLAN_CACHE=0.
 #
 # --tsan builds the concurrency suites under ThreadSanitizer (its own
 # build-tsan/ tree, benches off) and runs them, then the serving suite
@@ -29,7 +28,7 @@
 #
 # --topk is a fast smoke target: build, then run only the ordering
 # suites (differential + randomized property + parser + optimizer), which
-# cover the dop / planner / plan-cache matrix themselves. Useful while
+# cover the dop / plan-cache matrix themselves. Useful while
 # iterating on the Sort/Limit/TopK operators; a full run still covers
 # everything.
 
@@ -102,11 +101,8 @@ cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 # The FromEnv() suites once per non-default query knob. api_test reads
-# GQOPT_DOP and GQOPT_PLANNER but pins use_plan_cache, so the cache leg
-# leaves it out.
+# GQOPT_DOP but pins use_plan_cache, so the cache leg leaves it out.
 GQOPT_DOP=4 ctest --test-dir build --output-on-failure \
-  -R '(api|end_to_end|serving)_test'
-GQOPT_PLANNER=greedy ctest --test-dir build --output-on-failure \
   -R '(api|end_to_end|serving)_test'
 GQOPT_PLAN_CACHE=0 ctest --test-dir build --output-on-failure \
   -R '(end_to_end|serving)_test'
