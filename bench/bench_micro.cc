@@ -22,6 +22,7 @@
 #include "datasets/workloads.h"
 #include "datasets/yago.h"
 #include "eval/binary_relation.h"
+#include "eval/closure.h"
 #include "eval/graph_engine.h"
 #include "query/query_parser.h"
 #include "ra/catalog.h"
@@ -442,11 +443,11 @@ BENCHMARK(BM_JoinRadixMultiKey)
 
 // ---- Parallel counterparts ------------------------------------------------
 // The radix join kernel driven through the parallel primitives (chunked
-// scatter + per-partition ParallelFor) and the parallel closure rounds, at
-// dop ∈ {1, 2, 4} on identical inputs. tools/bench_diff.py reports each
-// dop > 1 entry against its dop = 1 sibling in the same snapshot. Note
-// the CI box is a 1-core VM: there the dop > 1 entries measure morsel
-// overhead, not speedup — see ROADMAP.
+// scatter + per-partition ParallelFor) and the closure kernel's
+// fixed-value ranges, at dop 1 and at dop 2 or 4 on identical inputs.
+// tools/bench_diff.py reports each dop > 1 entry against its dop = 1
+// sibling in the same snapshot. On a 1-core box the dop > 1 entries
+// measure morsel overhead, not speedup.
 
 void BM_JoinRadixParallel(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -521,9 +522,9 @@ void BM_ClosureParallel(benchmark::State& state) {
   ExecContext ctx;
   ctx.dop = dop;
   ctx.pool = &pool;
-  // Early rounds have small deltas; lower the degrade threshold so the
-  // bulk of the expansion runs parallel.
-  ctx.parallel_min_rows = size_t{1} << 12;
+  // The relation's 4k rows are below kParallelMinRows, which would keep
+  // every dop serial; its 2.6M-pair closure is what is worth splitting.
+  ctx.parallel_min_rows = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(BinaryRelation::TransitiveClosure(r, ctx));
   }
@@ -532,6 +533,42 @@ BENCHMARK(BM_ClosureParallel)
     ->Args({2048, 1})
     ->Args({2048, 2})
     ->Args({2048, 4});
+
+// Seeded closures from 1 or 4 seeds over a relation above
+// kParallelMinRows: the ranges never outnumber the seeds, so one seed
+// runs as one range at any dop, and four seeds give dop 4 a range each.
+// The seeds are the sources with the most out-edges, so each reaches the
+// relation's giant component (about 80k nodes); a random source may
+// reach only a few.
+void BM_ClosureParallelSeeded(benchmark::State& state) {
+  size_t seed_count = static_cast<size_t>(state.range(0));
+  int dop = static_cast<int>(state.range(1));
+  BinaryRelation r = RandomRelation(100000, 200000, 23);
+  auto degree = [&r](NodeId v) {
+    auto [lo, hi] = r.EqualRange(v);
+    return hi - lo;
+  };
+  std::vector<NodeId> seeds = r.Sources();
+  std::partial_sort(seeds.begin(), seeds.begin() + seed_count, seeds.end(),
+                    [&](NodeId a, NodeId b) {
+                      return degree(a) != degree(b) ? degree(a) > degree(b)
+                                                    : a < b;
+                    });
+  seeds.resize(seed_count);
+  std::sort(seeds.begin(), seeds.end());
+  ThreadPool pool(3);
+  ExecContext ctx;
+  ctx.dop = dop;
+  ctx.pool = &pool;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SeededClosure(r, seeds, true, ctx));
+  }
+}
+BENCHMARK(BM_ClosureParallelSeeded)
+    ->Args({1, 1})
+    ->Args({1, 4})
+    ->Args({4, 1})
+    ->Args({4, 4});
 
 void BM_JoinHashSorted(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -615,6 +652,21 @@ void BM_ExecSeededClosure(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecSeededClosure)->Arg(1024)->Arg(4096);
+
+void BM_ExecTargetSeededClosure(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  PropertyGraph graph = RandomJoinGraph(n, n * 2);
+  Catalog catalog(graph);
+  RaExprPtr plan = RaExpr::TransitiveClosure(
+      RaExpr::EdgeScan("e1", "s", "t"), "s", "t",
+      RaExpr::NodeScan({"SEED"}, "t"), SeedSide::kTarget);
+  Executor executor(catalog);
+  for (auto _ : state) {
+    auto result = executor.Run(plan);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_ExecTargetSeededClosure)->Arg(1024)->Arg(4096);
 
 void BM_NaiveSeededClosure(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -1043,24 +1095,26 @@ void BM_ClosureTopKPruned(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosureTopKPruned)->Arg(1024)->Arg(4096);
 
+// The same query as the unfused Limit(Sort(closure)) plan: no TopK sits
+// directly over the closure, so the full fixpoint runs.
 void BM_ClosureTopKFull(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   PropertyGraph graph = RandomJoinGraph(n, n * 2);
   Catalog catalog(graph);
-  RaExprPtr plan = RaExpr::TopK(
-      RaExpr::TransitiveClosure(RaExpr::EdgeScan("e1", "s", "t"), "s", "t",
-                                RaExpr::NodeScan({"SEED"}, "s"),
-                                SeedSide::kSource),
-      {{"s", false}}, 8);
+  RaExprPtr plan = RaExpr::Limit(
+      RaExpr::Sort(
+          RaExpr::TransitiveClosure(RaExpr::EdgeScan("e1", "s", "t"), "s",
+                                    "t", RaExpr::NodeScan({"SEED"}, "s"),
+                                    SeedSide::kSource),
+          {{"s", false}}),
+      8);
   Executor executor(catalog);
-  ExecContext ctx;
-  ctx.topk_pruning = false;  // full fixpoint feeding the bounded heap
   for (auto _ : state) {
-    auto result = executor.Run(plan, ctx);
+    auto result = executor.Run(plan);
     benchmark::DoNotOptimize(result);
   }
   if (executor.topk_pruned_frontier() != 0) {
-    state.SkipWithError("pruning fired with the knob off");
+    state.SkipWithError("the unfused plan pruned the closure");
   }
 }
 BENCHMARK(BM_ClosureTopKFull)->Arg(1024)->Arg(4096);

@@ -86,9 +86,9 @@ class BinaryRelation {
 
   /// Transitive closure via the semi-naive kernel of eval/closure.h
   /// (defined in eval/closure.cc, next to it). The deadline form runs at
-  /// the core-aware DefaultDop(); pass an ExecContext to control the
-  /// per-round frontier-expansion parallelism explicitly. Results are
-  /// bit-identical at every dop.
+  /// the core-aware DefaultDop(); pass an ExecContext to set how many
+  /// ranges of source values run their fixpoints at once. The result is
+  /// the sorted closure, the same at every dop.
   static Result<BinaryRelation> TransitiveClosure(
       const BinaryRelation& r, const Deadline& deadline = {});
   static Result<BinaryRelation> TransitiveClosure(const BinaryRelation& r,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -12,49 +13,44 @@
 namespace gqopt {
 namespace {
 
-// The semi-naive kernel (see eval/closure.h). `acc` holds the start
-// pairs, which are also the first frontier. kForward: `adj` is the
-// relation itself, and a round extends (x, y) by the successors z of y to
-// (x, z) — x is fixed. Otherwise `adj` is the reversed relation, and a
-// round extends (x, y) by the predecessors w of x to (w, y) — y is fixed.
-// The direction is a template parameter so the inner loops carry no
-// branch or indirect call per candidate.
-template <bool kForward>
-Result<BinaryRelation> Fixpoint(std::vector<Edge> acc,
-                                const BinaryRelation& adj,
-                                const ExecContext& ctx, std::string_view what,
-                                const ClosureTopKBound& bound,
-                                size_t* pruned) {
-  const Deadline& deadline = ctx.deadline;
-  const std::vector<Edge>& adj_pairs = adj.pairs();
-  // Force the lazy CSR build before any parallel round: EqualRange from
-  // several threads must only ever read an already-built index.
-  adj.SourceCsr();
-  auto joined = [](const Edge& p) { return kForward ? p.second : p.first; };
-  auto fixed_of = [](const Edge& p) { return kForward ? p.first : p.second; };
-  auto extend = [](const Edge& p, NodeId n) {
-    return kForward ? Edge{p.first, n} : Edge{n, p.second};
-  };
-  auto cap_exceeded = [what] {
-    return Status::ResourceExhausted(std::string(what) +
-                                     " exceeded the result cap");
-  };
+// What the ranges of one closure share (see eval/closure.h). `adj`
+// extends the moving component; `total` counts the pairs all ranges have
+// found (distinct, as the ranges' fixed values are) against the one
+// result cap.
+struct Closure {
+  const BinaryRelation& adj;
+  const ExecContext& ctx;
+  std::string_view what;
+  const ClosureTopKBound& bound;
+  size_t* pruned;
+  bool swapped;  // the result swaps its pairs, so ranges leave them unsorted
+  NodeId moving_lo;
+  NodeId moving_hi;
+  bool dense;  // dedup form, chosen once from the whole closure's domain
+  std::atomic<size_t> total;
+};
 
-  // Dedup domain: the fixed component stays within the start pairs, the
-  // moving one also ranges over the adjacency's targets.
-  NodeId max_x = 0, max_z = 0;
-  for (const Edge& e : acc) {
-    max_x = std::max(max_x, e.first);
-    max_z = std::max(max_z, e.second);
-  }
-  NodeId& max_moving = kForward ? max_z : max_x;
-  for (const Edge& e : adj_pairs) max_moving = std::max(max_moving, e.second);
-  // Each candidate costs one bitmap test-and-set (dense id domains) or
-  // flat hash insert instead of a sort + Difference + Union re-merge of
-  // the accumulator per round.
-  PairDedupSet seen(static_cast<uint64_t>(max_x) + 1,
-                    static_cast<uint64_t>(max_z) + 1, acc.size() * 4,
-                    ctx.mem);
+// One range's output: its closure pairs and their memory charge, which
+// is held until the closure returns.
+struct Range {
+  std::vector<Edge> pairs;
+  GrowthCharge charge;
+  Status status;
+};
+
+// The semi-naive loop over the start pairs [first, last), which hold all
+// start pairs of their fixed values. Leaves the range's closure pairs in
+// out->pairs, sorted unless the result swaps them.
+Status RangeFixpoint(const Edge* first, const Edge* last, Closure& c,
+                     Range* out) {
+  const ExecContext& ctx = c.ctx;
+  const Deadline& deadline = ctx.deadline;
+  const std::vector<Edge>& adj_pairs = c.adj.pairs();
+  out->charge = GrowthCharge(ctx.mem);
+  std::vector<Edge>& acc = out->pairs;
+  acc.assign(first, last);
+  PairDedupSet seen(first->first, (last - 1)->first, c.moving_lo,
+                    c.moving_hi, c.dense, acc.size() * 4, ctx.mem);
   for (const Edge& e : acc) seen.Insert(e.first, e.second);
   std::vector<Edge> delta = acc;
   std::vector<Edge> next;
@@ -67,6 +63,7 @@ Result<BinaryRelation> Fixpoint(std::vector<Edge> acc,
   // values (duplicates count: the bound is the k-th ROW's key) in a
   // worst-on-top heap; drop frontier entries and fresh candidates that
   // sort strictly past its top. Ties are kept, so results are exact.
+  const ClosureTopKBound& bound = c.bound;
   const bool prune = bound.k > 0;
   std::vector<NodeId> best;  // worst-on-top heap, size <= bound.k
   // a strictly before b in key order.
@@ -88,7 +85,7 @@ Result<BinaryRelation> Fixpoint(std::vector<Edge> acc,
   auto prunable = [&](NodeId v) {
     return best.size() == bound.k && better(best.front(), v);
   };
-  auto count_pruned = [pruned](size_t n) {
+  auto count_pruned = [pruned = c.pruned](size_t n) {
     if (pruned != nullptr) *pruned += n;
   };
   // Admits `pairs` in order, tightening the bound as it goes; with
@@ -97,9 +94,8 @@ Result<BinaryRelation> Fixpoint(std::vector<Edge> acc,
   auto admit = [&](std::vector<Edge>* pairs, bool drop) {
     size_t kept = 0;
     for (const Edge& p : *pairs) {
-      NodeId v = fixed_of(p);
-      if (drop && prunable(v)) continue;
-      observe(v);
+      if (drop && prunable(p.first)) continue;
+      observe(p.first);
       (*pairs)[kept++] = p;
     }
     count_pruned(pairs->size() - kept);
@@ -110,120 +106,49 @@ Result<BinaryRelation> Fixpoint(std::vector<Edge> acc,
     admit(&acc, /*drop=*/false);
   }
 
-  // Charges the accumulator/frontier buffers against the query budget,
-  // re-measured once per round (they only grow).
-  GrowthCharge mem_charge(ctx.mem);
   DeadlinePoller poll(deadline);
-  // The strided poll of the insert loops below: the deadline, the budget
-  // and the result cap. Kept out of the per-candidate path, which is one
-  // dedup insert and one append.
+  // The poll at each round and, strided, in the insert loop below: the
+  // deadline, the budget and the result cap over all ranges. A range
+  // that adds pairs always runs one more round, so it polls the cap
+  // after its last addition. Kept out of the per-candidate path, which
+  // is one dedup insert and one append.
   auto check = [&]() -> Status {
     if (deadline.Expired() || ctx.MemBreached()) {
-      return AbortStatus(ctx, what);
+      return AbortStatus(ctx, c.what);
     }
-    if (acc.size() + next.size() > kMaxPairs) return cap_exceeded();
+    if (c.total.load(std::memory_order_relaxed) + next.size() > kMaxPairs) {
+      return Status::ResourceExhausted(std::string(c.what) +
+                                       " exceeded the result cap");
+    }
     return Status::OK();
-  };
-  // Phase A of a parallel round (see eval/closure.h): fills one
-  // candidate buffer per frontier morsel. True when generated; false
-  // when the buffers crossed 2 * kMaxPairs and the round must be redone
-  // serially (phase A is read-only, so nothing needs undoing).
-  auto generate = [&](int par,
-                      std::vector<std::vector<Edge>>* candidates)
-      -> Result<bool> {
-    size_t grain = ParallelGrain(delta.size(), par);
-    candidates->resize((delta.size() + grain - 1) / grain);
-    std::atomic<size_t> buffered{0};
-    std::atomic<bool> overflow{false};
-    bool ok = ParallelFor(
-        ctx.TaskPool(), par, delta.size(), grain, deadline,
-        [&](size_t b, size_t e) {
-          std::vector<Edge>& out = (*candidates)[b / grain];
-          DeadlinePoller morsel_poll(deadline);
-          GrowthCharge morsel_charge(ctx.mem);
-          size_t reported = 0;
-          // Publishes the morsel's unreported growth into the shared
-          // total (and the buffer's capacity into the memory budget);
-          // true when the buffered candidates crossed a bound.
-          auto publish = [&] {
-            size_t grown = out.size() - reported;
-            reported = out.size();
-            if (!morsel_charge.Update(out.capacity() * sizeof(Edge))) {
-              return true;
-            }
-            if (buffered.fetch_add(grown, std::memory_order_relaxed) +
-                    grown >
-                2 * kMaxPairs) {
-              overflow.store(true, std::memory_order_relaxed);
-              return true;
-            }
-            return false;
-          };
-          for (size_t i = b; i < e; ++i) {
-            const Edge& d = delta[i];
-            auto [lo, hi] = adj.EqualRange(joined(d));
-            for (uint32_t j = lo; j < hi; ++j) {
-              Edge c = extend(d, adj_pairs[j].second);
-              if (!seen.Contains(c.first, c.second)) out.push_back(c);
-              if (morsel_poll.Expired()) return false;
-            }
-            // Amortized memory poll; the final publish below catches the
-            // tail generated after the last stride.
-            if (morsel_poll.Due() && publish()) return false;
-          }
-          return !publish();
-        });
-    if (ok) return true;
-    candidates->clear();  // free the buffers before any serial redo
-    if (ctx.MemBreached()) return AbortStatus(ctx, what);
-    if (overflow.load(std::memory_order_relaxed)) return false;
-    return Status::DeadlineExceeded(std::string(what) + " timed out");
   };
 
   while (!delta.empty()) {
-    if (deadline.Expired() || ctx.MemBreached()) {
-      return AbortStatus(ctx, what);
-    }
+    next.clear();
+    GQOPT_RETURN_NOT_OK(check());
     if (prune) {
       // Pre-filter the frontier against the current bound (it only ever
-      // tightens, so a once-per-round serial pass is race-free at any
-      // dop and keeps the expansion itself unchanged).
+      // tightens).
       size_t kept = 0;
       for (const Edge& d : delta) {
-        if (prunable(fixed_of(d))) continue;
+        if (prunable(d.first)) continue;
         delta[kept++] = d;
       }
       count_pruned(delta.size() - kept);
       delta.resize(kept);
       if (delta.empty()) break;
     }
-    next.clear();
-    std::vector<std::vector<Edge>> candidates;
-    bool generated = false;
-    int par = ctx.EffectiveDop(delta.size());
-    if (par > 1) {
-      GQOPT_ASSIGN_OR_RETURN(generated, generate(par, &candidates));
-    }
-    if (generated) {
-      for (const std::vector<Edge>& chunk : candidates) {
-        for (const Edge& c : chunk) {
-          if (seen.Insert(c.first, c.second)) next.push_back(c);
-          if (poll.Due()) GQOPT_RETURN_NOT_OK(check());
-        }
-      }
-    } else {
-      for (const Edge& d : delta) {
-        auto [lo, hi] = adj.EqualRange(joined(d));
-        for (uint32_t i = lo; i < hi; ++i) {
-          Edge c = extend(d, adj_pairs[i].second);
-          if (seen.Insert(c.first, c.second)) next.push_back(c);
-          if (poll.Due()) GQOPT_RETURN_NOT_OK(check());
-        }
+    for (const Edge& d : delta) {
+      auto [lo, hi] = c.adj.EqualRange(d.second);
+      for (uint32_t i = lo; i < hi; ++i) {
+        NodeId z = adj_pairs[i].second;
+        if (seen.Insert(d.first, z)) next.emplace_back(d.first, z);
+        if (poll.Due()) GQOPT_RETURN_NOT_OK(check());
       }
     }
     if (prune) {
       // Filter the round's candidates, tightening the bound as survivors
-      // are admitted (serial, in frontier order). Pruned candidates never
+      // are admitted (in frontier order). Pruned candidates never
       // re-enter (they are already in the dedup set) and are excluded
       // from the result — sound because a bounded evaluation only ever
       // feeds the TopK that set the bound and is never memoized as the
@@ -231,18 +156,95 @@ Result<BinaryRelation> Fixpoint(std::vector<Edge> acc,
       admit(&next, /*drop=*/true);
     }
     acc.insert(acc.end(), next.begin(), next.end());
-    if (acc.size() > kMaxPairs) return cap_exceeded();
-    if (!mem_charge.Update(static_cast<size_t>(
+    c.total.fetch_add(next.size(), std::memory_order_relaxed);
+    // Charges the accumulator/frontier buffers against the query budget,
+    // re-measured once per round (they only grow).
+    if (!out->charge.Update(static_cast<size_t>(
             (acc.capacity() + delta.capacity() + next.capacity()) *
             sizeof(Edge)))) {
-      return AbortStatus(ctx, what);
+      return AbortStatus(ctx, c.what);
     }
     delta.swap(next);
   }
-  // The dedup set guarantees uniqueness; one final packed sort restores
-  // order.
-  SortUniquePairs(&acc);
-  return BinaryRelation::FromSortedUnique(std::move(acc));
+  // The ranges hold ascending, disjoint fixed values, so sorted ranges
+  // concatenate into a sorted result.
+  if (!c.swapped) SortUniquePairs(&acc);
+  return Status::OK();
+}
+
+// Cuts `start` (sorted by fixed value) into contiguous ranges of at least
+// `grain` pairs (but the last), each extended to the end of its last
+// fixed value's run so that no fixed value spans two ranges. Returns the
+// range bounds.
+std::vector<size_t> CutRanges(const std::vector<Edge>& start, size_t grain) {
+  size_t n = start.size();
+  std::vector<size_t> cuts{0};
+  while (cuts.back() < n) {
+    size_t end = std::min(cuts.back() + grain, n);
+    while (end < n && start[end].first == start[end - 1].first) ++end;
+    cuts.push_back(end);
+  }
+  return cuts;
+}
+
+// The kernel: the closure of `adj` from the non-empty `start` pairs, a
+// subset of `adj` sorted by fixed value. With `swapped`, the result holds
+// each (fixed, moving) pair as (moving, fixed).
+Result<BinaryRelation> Fixpoint(const std::vector<Edge>& start,
+                                const BinaryRelation& adj,
+                                const ExecContext& ctx, std::string_view what,
+                                const ClosureTopKBound& bound, size_t* pruned,
+                                bool swapped) {
+  // Force the lazy CSR build before ranges run concurrently, so no
+  // worker waits on the build mutex.
+  adj.SourceCsr();
+  // Dedup domain: the fixed component stays within the start pairs, the
+  // moving one within the adjacency's targets.
+  NodeId moving_lo = std::numeric_limits<NodeId>::max();
+  NodeId moving_hi = 0;
+  for (const Edge& e : adj.pairs()) {
+    moving_lo = std::min(moving_lo, e.second);
+    moving_hi = std::max(moving_hi, e.second);
+  }
+  bool dense = PairDedupSet::DenseFits(
+      uint64_t{start.back().first} - start.front().first + 1,
+      uint64_t{moving_hi} - moving_lo + 1);
+  Closure c{adj,       ctx,       what,  bound,       pruned, swapped,
+            moving_lo, moving_hi, dense, start.size()};
+
+  // Like every operator, the closure sizes its parallelism by its input.
+  // A bounded closure runs as one range: its prune bound is global. One
+  // range runs inline on the caller's thread.
+  int par = bound.k == 0 ? ctx.EffectiveDop(adj.size()) : 1;
+  std::vector<size_t> cuts = CutRanges(
+      start, par > 1 ? ParallelGrain(start.size(), par, 1) : start.size());
+  std::vector<Range> ranges(cuts.size() - 1);
+  bool ok = ParallelFor(
+      ctx.TaskPool(), par, ranges.size(), 1, ctx.deadline,
+      [&](size_t r, size_t) {
+        ranges[r].status = RangeFixpoint(start.data() + cuts[r],
+                                         start.data() + cuts[r + 1], c,
+                                         &ranges[r]);
+        return ranges[r].status.ok();
+      });
+  for (const Range& range : ranges) GQOPT_RETURN_NOT_OK(range.status);
+  if (!ok) return AbortStatus(ctx, what);
+
+  // The ranges keep their memory charges until the closure returns: the
+  // concatenated result holds the same pairs.
+  std::vector<Edge> out = std::move(ranges[0].pairs);
+  if (ranges.size() > 1) {
+    out.reserve(c.total.load(std::memory_order_relaxed));
+    for (size_t r = 1; r < ranges.size(); ++r) {
+      out.insert(out.end(), ranges[r].pairs.begin(), ranges[r].pairs.end());
+      ranges[r].pairs = {};
+    }
+  }
+  if (swapped) {
+    for (Edge& e : out) std::swap(e.first, e.second);
+    SortUniquePairs(&out);
+  }
+  return BinaryRelation::FromSortedUnique(std::move(out));
 }
 
 }  // namespace
@@ -250,8 +252,8 @@ Result<BinaryRelation> Fixpoint(std::vector<Edge> acc,
 Result<BinaryRelation> BinaryRelation::TransitiveClosure(
     const BinaryRelation& r, const ExecContext& ctx) {
   if (r.empty()) return r;
-  return Fixpoint<true>(r.pairs_, r, ctx, "transitive closure",
-                        ClosureTopKBound(), nullptr);
+  return Fixpoint(r.pairs_, r, ctx, "transitive closure", ClosureTopKBound(),
+                  nullptr, /*swapped=*/false);
 }
 
 Result<BinaryRelation> SeededClosure(const BinaryRelation& base,
@@ -259,17 +261,14 @@ Result<BinaryRelation> SeededClosure(const BinaryRelation& base,
                                      bool seed_source, const ExecContext& ctx,
                                      const ClosureTopKBound& bound,
                                      size_t* pruned) {
-  BinaryRelation start = seed_source ? base.SemiJoinSource(seeds)
-                                     : base.SemiJoinTarget(seeds);
+  // Target seeds are the sources of the reversed relation: the loop
+  // fixes them there, and the result swaps back.
+  BinaryRelation reversed = seed_source ? BinaryRelation() : base.Reverse();
+  const BinaryRelation& adj = seed_source ? base : reversed;
+  BinaryRelation start = adj.SemiJoinSource(seeds);
   if (start.empty()) return start;
-  // Source seeds extend targets over the relation itself; target seeds
-  // extend sources over its reverse.
-  if (seed_source) {
-    return Fixpoint<true>(start.pairs(), base, ctx, "seeded closure", bound,
-                          pruned);
-  }
-  return Fixpoint<false>(start.pairs(), base.Reverse(), ctx,
-                         "seeded closure", bound, pruned);
+  return Fixpoint(start.pairs(), adj, ctx, "seeded closure", bound, pruned,
+                  /*swapped=*/!seed_source);
 }
 
 }  // namespace gqopt

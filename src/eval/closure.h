@@ -2,32 +2,26 @@
 // semi-naive (delta) fixpoint kernel (eval/closure.cc):
 // BinaryRelation::TransitiveClosure starts it from the whole relation,
 // SeededClosure from the pairs whose source or target is a seed (the
-// µ-RA join pushdown), over the forward or the reversed adjacency.
+// µ-RA join pushdown).
 //
-// A round extends every frontier pair through the adjacency's CSR and
-// deduplicates each candidate against the pairs found so far with one
-// PairDedupSet insert; the survivors form the next frontier. Deadline,
-// memory-budget and result-cap polls are shared by both entry points, so
-// they fail with the same typed statuses ("transitive closure ..." or
-// "seeded closure ...").
+// The kernel extends the second, moving component of (fixed, moving)
+// pairs: a round extends every frontier pair through the relation's CSR
+// and keeps the candidates its PairDedupSet insert admits as the next
+// frontier. A target-seeded closure runs over the reversed relation, so
+// its fixed component is the target, and swaps its pairs back.
 //
-// Bit-identity at every dop. The dedup insert is a round's only
-// mutation, so a parallel round splits in two:
-//   phase A (parallel): morsels of the frontier walk the adjacency and
-//     keep the candidates the frozen dedup set does not contain
-//     (read-only Contains) — the expensive part fans out;
-//   phase B (serial): the buffered candidates are inserted in morsel
-//     order and the survivors appended to the next frontier.
-// A pair several morsels generate passes phase A in each, but phase B
-// keeps only its first occurrence — in frontier order, exactly where the
-// serial insert-as-you-go loop keeps it. The accumulated pairs, the next
-// frontier and the top-k prune decisions (taken serially between rounds)
-// are therefore the same sequence at every dop. When phase A's buffers
-// cross twice the result cap — possible without the deduplicated result
-// being near it, when many frontier pairs regenerate the same few pairs —
-// the round is redone by the serial loop, which never buffers candidates:
-// whether a closure succeeds never depends on the dop, only how fast such
-// a round runs.
+// Expansion never changes a pair's fixed component, so pairs with
+// different fixed values never meet. The start pairs, sorted by fixed
+// value, split into contiguous ranges of whole fixed values, and each
+// range runs the loop alone with a dedup set over its own fixed values:
+// one range when serial, one range per pool morsel at dop > 1. The
+// ranges share the deadline, memory-budget and result-cap polls, so both
+// entry points fail with the same typed statuses ("transitive closure
+// ..." or "seeded closure ..."), and the cap counts the pairs of all
+// ranges together.
+//
+// Invariant: the output is the sorted set of closure pairs, so it is the
+// same at every dop.
 
 #ifndef GQOPT_EVAL_CLOSURE_H_
 #define GQOPT_EVAL_CLOSURE_H_
@@ -46,7 +40,7 @@ namespace gqopt {
 /// component (the source for source seeds, the target for target seeds)
 /// sorts strictly after the current k-th best fixed-side value can never
 /// enter the top k — expansion preserves the fixed component — so they
-/// are dropped. `k == 0` disables.
+/// are dropped. `k == 0` disables. A bounded closure runs as one range.
 struct ClosureTopKBound {
   size_t k = 0;
   bool descending = false;  // direction of the leading TopK key

@@ -1219,7 +1219,7 @@ Result<Table> Executor::EvalTopK(const RaExpr* e, const ExecContext& ctx) {
   // entries that cannot beat the current k-th candidate are dead —
   // evaluate the closure with the bound (outside the memo: the bounded
   // result is not the closure's full table).
-  if (ctx.topk_pruning && child_e->op() == RaOp::kTransitiveClosure &&
+  if (child_e->op() == RaOp::kTransitiveClosure &&
       child_e->seed_side() != SeedSide::kNone && !e->sort_keys().empty()) {
     const std::string& fixed_col =
         child_e->seed_side() == SeedSide::kSource ? child_e->src_col()

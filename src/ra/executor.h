@@ -27,7 +27,7 @@ namespace gqopt {
 /// Execution is partition-parallel when the ExecContext carries dop > 1:
 /// radix-hash joins scatter, build, and probe their partitions across the
 /// pool, flat-hash probes / selections / projections split into morsels,
-/// and seeded closures expand their frontier per delta range. Every
+/// and closures run one fixpoint per range of fixed values. Every
 /// operator remains bit-identical to its serial form at every dop
 /// (differential tests enforce it), so memoized tables are dop-agnostic.
 class Executor {
@@ -60,9 +60,9 @@ class Executor {
 
   /// Frontier entries + candidate pairs the seeded-closure top-k prune
   /// dropped during the most recent Run() (0 when no TopK sat over a
-  /// seeded closure, or pruning was disabled). The asymptotic-win benches
-  /// and the differential suite assert on this counter — work actually
-  /// skipped — rather than on wall time.
+  /// seeded closure with a leading key on its fixed column). The
+  /// asymptotic-win benches and the differential suite assert on this
+  /// counter — work actually skipped — rather than on wall time.
   size_t topk_pruned_frontier() const { return topk_pruned_frontier_; }
 
  private:

@@ -63,11 +63,6 @@ struct ExecContext {
   /// order (so truncation can only drop tail rows); a hinted result is
   /// never memoized. 0 = produce everything.
   size_t limit_hint = 0;
-  /// Enables the seeded-closure top-k frontier prune (on by default).
-  /// The prune only ever skips frontier entries that provably cannot
-  /// reach the top k, so results are identical either way — the knob
-  /// exists so differential tests can pin pruned vs unpruned runs.
-  bool topk_pruning = true;
 
   /// True once the memory budget is breached (cheap relaxed load; false
   /// when ungoverned). Operators poll this next to Deadline::Expired().

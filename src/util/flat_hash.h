@@ -101,25 +101,33 @@ class FlatKeySet {
   bool has_empty_key_ = false;
 };
 
-/// \brief Dedup set for (x, z) id pairs, used by fixpoint rounds.
+/// \brief Dedup set for (x, z) id pairs inside the box
+/// [x_lo, x_hi] × [z_lo, z_hi], used by the closure fixpoint.
 ///
-/// When the id cross-product is small enough it is a dense bitmap — one
-/// test-and-set bit per candidate, no hashing at all; otherwise it falls
-/// back to the flat hash set over packed pairs.
+/// Dense, it is a bitmap over the box alone — one test-and-set bit per
+/// candidate, no hashing at all; sparse, it is the flat hash set over
+/// packed pairs. The caller picks the form (DenseFits), so the sets of
+/// one closure's fixed-value ranges are all dense or all sparse.
 class PairDedupSet {
  public:
-  /// `x_bound`/`z_bound`: exclusive upper bounds on the pair components.
-  /// `expected`: initial hash capacity hint for the sparse fallback.
+  /// True when a bitmap over `x_count * z_count` pairs is small enough.
+  static bool DenseFits(uint64_t x_count, uint64_t z_count) {
+    return x_count == 0 || z_count <= kDenseBits / x_count;
+  }
+
+  /// Every inserted pair must lie in the box (x_lo <= x_hi, z_lo <= z_hi).
+  /// `expected`: initial hash capacity hint for the sparse form.
   /// `mem`, when set, is charged for the bitmap or the hash slots.
-  PairDedupSet(uint64_t x_bound, uint64_t z_bound, size_t expected,
-               MemoryTracker* mem = nullptr)
-      : dense_(x_bound * z_bound <= kDenseBits &&
-               (x_bound == 0 || z_bound <= kDenseBits / x_bound)),
-        stride_(z_bound),
+  PairDedupSet(uint32_t x_lo, uint32_t x_hi, uint32_t z_lo, uint32_t z_hi,
+               bool dense, size_t expected, MemoryTracker* mem = nullptr)
+      : dense_(dense),
+        x_lo_(x_lo),
+        z_lo_(z_lo),
+        stride_(uint64_t{z_hi} - z_lo + 1),
         charge_(mem),
-        hash_(dense_ ? 0 : expected, dense_ ? nullptr : mem) {
+        hash_(dense ? 0 : expected, dense ? nullptr : mem) {
     if (dense_) {
-      bits_.assign((x_bound * z_bound + 63) / 64, 0);
+      bits_.assign(((uint64_t{x_hi} - x_lo + 1) * stride_ + 63) / 64, 0);
       charge_.Add(static_cast<int64_t>(bits_.size() * sizeof(uint64_t)));
     }
   }
@@ -127,7 +135,7 @@ class PairDedupSet {
   /// Inserts (x, z); returns true when it was not already present.
   bool Insert(uint32_t x, uint32_t z) {
     if (dense_) {
-      uint64_t bit = static_cast<uint64_t>(x) * stride_ + z;
+      uint64_t bit = uint64_t{x - x_lo_} * stride_ + (z - z_lo_);
       uint64_t mask = uint64_t{1} << (bit & 63);
       uint64_t& word = bits_[bit >> 6];
       if (word & mask) return false;
@@ -137,24 +145,14 @@ class PairDedupSet {
     return hash_.Insert((static_cast<uint64_t>(x) << 32) | z);
   }
 
-  /// Read-only membership test. Safe to call concurrently from many
-  /// threads as long as no Insert runs at the same time — the parallel
-  /// fixpoint rounds pre-filter candidates against a frozen set, then
-  /// insert serially.
-  bool Contains(uint32_t x, uint32_t z) const {
-    if (dense_) {
-      uint64_t bit = static_cast<uint64_t>(x) * stride_ + z;
-      return (bits_[bit >> 6] >> (bit & 63)) & 1;
-    }
-    return hash_.Contains((static_cast<uint64_t>(x) << 32) | z);
-  }
-
  private:
   // 2^26 bits = 8 MB: roughly the footprint the hash set would reach on
   // closures large enough to overflow it.
   static constexpr uint64_t kDenseBits = uint64_t{1} << 26;
 
   bool dense_;
+  uint32_t x_lo_;
+  uint32_t z_lo_;
   uint64_t stride_;
   TrackedBytes charge_;
   std::vector<uint64_t> bits_;

@@ -11,12 +11,14 @@
 #include <vector>
 
 #include "eval/binary_relation.h"
+#include "eval/closure.h"
 #include "eval/csr_view.h"
 #include "eval/naive_reference.h"
 #include "graph/property_graph.h"
 #include "ra/catalog.h"
 #include "ra/executor.h"
 #include "ra/ra_expr.h"
+#include "test_fixtures.h"
 #include "util/exec_context.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -170,6 +172,19 @@ TEST(CsrDifferentialTest, TransitiveClosureMatchesNaive) {
   BinaryRelation loops = BinaryRelation::FromPairs({{0, 0}, {0, 1}, {1, 0}});
   EXPECT_EQ(Closure(loops)->pairs(), naive::TransitiveClosure(loops).pairs());
   EXPECT_TRUE(Closure(BinaryRelation())->empty());
+}
+
+TEST(CsrDifferentialTest, SeededClosureRangeSplitMatchesNaive) {
+  testing::RangeSplitCase c = testing::MakeRangeSplitCase();
+  for (const std::vector<NodeId>& seeds : c.seed_sets) {
+    for (bool seed_source : {true, false}) {
+      auto fast = SeededClosure(c.base, seeds, seed_source, At(4));
+      ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+      EXPECT_EQ(fast->pairs(),
+                naive::SeededClosure(c.base, seeds, seed_source).pairs())
+          << seeds.size() << " seeds, seed_source " << seed_source;
+    }
+  }
 }
 
 TEST(CsrDifferentialTest, SemiJoinsMatchNaive) {

@@ -10,11 +10,13 @@
 #include <vector>
 
 #include "eval/binary_relation.h"
+#include "eval/closure.h"
 #include "graph/property_graph.h"
 #include "ra/catalog.h"
 #include "ra/executor.h"
 #include "api/stages.h"  // white-box stage access
 #include "ra/ra_expr.h"
+#include "test_fixtures.h"
 #include "util/exec_context.h"
 #include "util/radix.h"
 #include "util/rng.h"
@@ -164,6 +166,40 @@ TEST(ParallelDifferentialTest, BinaryRelationClosureMatchesAcrossDop) {
     auto parallel = BinaryRelation::TransitiveClosure(r, At(dop));
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(serial->pairs(), parallel->pairs()) << "dop " << dop;
+  }
+}
+
+TEST(ParallelDifferentialTest, SeededClosureRangeSplit) {
+  testing::RangeSplitCase c = testing::MakeRangeSplitCase();
+  for (const std::vector<NodeId>& seeds : c.seed_sets) {
+    for (bool seed_source : {true, false}) {
+      auto serial = SeededClosure(c.base, seeds, seed_source, At(1));
+      auto parallel = SeededClosure(c.base, seeds, seed_source, At(4));
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      EXPECT_EQ(serial->pairs(), parallel->pairs())
+          << seeds.size() << " seeds, seed_source " << seed_source;
+    }
+  }
+}
+
+TEST(ParallelDifferentialTest, ResultCapFailsAlikeAtEveryDop) {
+  // The chain 0 -> 1 -> ... -> 5793 has 5794 * 5793 / 2 = 16,782,321
+  // closure pairs, just over the cap: the closure fails if and only if
+  // its total crosses it, however the pairs split into ranges.
+  constexpr NodeId kLast = 5793;
+  ASSERT_GT(size_t{kLast + 1} * kLast / 2, kMaxPairs);
+  std::vector<Edge> pairs;
+  for (NodeId i = 0; i < kLast; ++i) pairs.emplace_back(i, i + 1);
+  BinaryRelation chain = BinaryRelation::FromPairs(std::move(pairs));
+  for (int dop : {1, 2, 4}) {
+    auto closure = BinaryRelation::TransitiveClosure(chain, At(dop));
+    ASSERT_FALSE(closure.ok()) << "dop " << dop;
+    EXPECT_EQ(closure.status().ToString(),
+              Status::ResourceExhausted(
+                  "transitive closure exceeded the result cap")
+                  .ToString())
+        << "dop " << dop;
   }
 }
 

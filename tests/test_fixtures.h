@@ -1,17 +1,23 @@
 // Shared fixtures reproducing the paper's running example: the Fig 1 YAGO
 // schema (5 node labels, 7 edges) and the Fig 2 YAGO database instance
 // (7 nodes, 9 edges). Node ids follow the paper's n1..n7 as 0..6. Plus
-// ScopedEnv, for the suites that test environment knobs.
+// ScopedEnv, for the suites that test environment knobs, and the closure
+// range-split case shared by the differential suites.
 
 #ifndef GQOPT_TESTS_TEST_FIXTURES_H_
 #define GQOPT_TESTS_TEST_FIXTURES_H_
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "eval/binary_relation.h"
 #include "graph/property_graph.h"
 #include "schema/graph_schema.h"
+#include "util/rng.h"
 
 namespace gqopt {
 namespace testing {
@@ -93,6 +99,44 @@ inline PropertyGraph Fig2Graph() {
   (void)graph.AddEdge(kN5, "isLocatedIn", kN7);
   graph.Finalize();
   return graph;
+}
+
+/// A relation and seed sets that drive the closure kernel's split into
+/// fixed-value ranges through its edge cases at dop 4: start pairs with
+/// 1, 2 and 3 distinct fixed values (one range, fewer ranges than
+/// workers), and start pairs that are mostly one hub's, so that cuts
+/// must move past the hub's run. Every seed has in- and out-edges, so
+/// each set works for source and target seeds alike.
+struct RangeSplitCase {
+  BinaryRelation base;
+  std::vector<std::vector<NodeId>> seed_sets;
+};
+
+inline RangeSplitCase MakeRangeSplitCase() {
+  constexpr NodeId kNodes = 300;
+  constexpr NodeId kHub = 150;
+  Rng rng(29);
+  auto node = [&rng] { return static_cast<NodeId>(rng.Uniform(kNodes)); };
+  std::vector<Edge> pairs;
+  for (int i = 0; i < 600; ++i) pairs.emplace_back(node(), node());
+  for (int i = 0; i < 120; ++i) {
+    pairs.emplace_back(kHub, node());
+    pairs.emplace_back(node(), kHub);
+  }
+  RangeSplitCase c{BinaryRelation::FromPairs(std::move(pairs)), {}};
+  std::vector<NodeId> sources = c.base.Sources();
+  std::vector<NodeId> targets = c.base.Targets();
+  std::vector<NodeId> low, high;  // seeds below and above the hub
+  std::set_intersection(sources.begin(), sources.end(), targets.begin(),
+                        targets.end(), std::back_inserter(low));
+  auto hub = std::lower_bound(low.begin(), low.end(), kHub);
+  high.assign(hub + 1, low.end());
+  low.erase(hub, low.end());
+  c.seed_sets = {{low[0]},
+                 {low[0], high[0]},
+                 {low[0], low[1], high[0]},
+                 {low[0], low[1], low[2], kHub, high[0], high[1], high[2]}};
+  return c;
 }
 
 }  // namespace testing

@@ -1,8 +1,8 @@
 // Differential tests for the ordered operators: Sort, Limit, and the
 // bounded-heap TopK must return exactly the naive sort-then-truncate
 // answer — same rows, same row order — across every join strategy, at
-// dop 1/2/4, with the memo cold or warm, and with the seeded-closure
-// frontier prune on or off. Ties are pinned by the total order (sort
+// dop 1/2/4, with the memo cold or warm, and with or without the
+// seeded-closure frontier prune. Ties are pinned by the total order (sort
 // keys first, remaining columns ascending), so every assertion is on
 // exact row sequences, not sorted sets.
 
@@ -272,16 +272,17 @@ TEST_F(TopKDifferentialTest, ClosureTopKPruneIsInvisibleInResults) {
         const std::vector<SortKey> keys{{fixed, descending},
                                         {other, !descending}};
         RaExprPtr topk = RaExpr::TopK(closure, keys, 9, offset);
+        // The unfused form runs the full closure: no TopK sits directly
+        // over it, so nothing is pruned.
+        RaExprPtr unfused =
+            RaExpr::Limit(RaExpr::Sort(closure, keys), 9, offset);
 
-        ExecContext pruned_ctx = At(1);
         Executor pruned(catalog_);
-        auto with_prune = pruned.Run(topk, pruned_ctx);
+        auto with_prune = pruned.Run(topk, At(1));
         ASSERT_TRUE(with_prune.ok()) << with_prune.status().ToString();
 
-        ExecContext unpruned_ctx = At(1);
-        unpruned_ctx.topk_pruning = false;
         Executor unpruned(catalog_);
-        auto without_prune = unpruned.Run(topk, unpruned_ctx);
+        auto without_prune = unpruned.Run(unfused, At(1));
         ASSERT_TRUE(without_prune.ok())
             << without_prune.status().ToString();
 
@@ -322,8 +323,8 @@ TEST_F(TopKDifferentialTest, ClosureTopKPruneBitIdenticalAcrossDop) {
         auto parallel = parallel_executor.Run(topk, At(dop));
         ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
         EXPECT_EQ(serial->data(), parallel->data()) << "dop=" << dop;
-        // The prune decisions are taken serially between rounds, so the
-        // work skipped is the same at every dop too.
+        // A bounded closure runs as one range at every dop, so the work
+        // skipped is the same too.
         EXPECT_EQ(parallel_executor.topk_pruned_frontier(),
                   serial_executor.topk_pruned_frontier())
             << "dop=" << dop;

@@ -4,8 +4,8 @@
 // order is the total order "sort keys first (directions respected), then
 // the remaining columns ascending". The answer must further be
 // bit-identical across a cold and a memo-warm executor, serial and
-// parallel execution, governed and ungoverned memory, and (for seeded
-// closures) the frontier prune on and off.
+// parallel execution, and governed and ungoverned memory, and equal to
+// the unfused Limit(Sort(child)) form.
 
 #include <gtest/gtest.h>
 
@@ -192,14 +192,6 @@ TEST_P(TopKPropertyTest, TopKIsThePrefixOfTheStableFullOrder) {
     auto under_budget = bounded.Run(topk, governed);
     ASSERT_TRUE(under_budget.ok()) << under_budget.status().ToString();
     EXPECT_EQ(base->data(), under_budget->data());
-
-    // Frontier prune on vs off: bit-identical.
-    ExecContext no_prune = At(1);
-    no_prune.topk_pruning = false;
-    Executor unpruned(catalog);
-    auto plain = unpruned.Run(topk, no_prune);
-    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-    EXPECT_EQ(base->data(), plain->data());
 
     // The unfused Limit(Sort(child)) form agrees.
     Executor two_step(catalog);

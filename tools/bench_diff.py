@@ -38,8 +38,8 @@ PAIRS = [
     # on identical inputs; the speedup must grow with input size at
     # fixed k (the O(n log k) vs O(n log n) asymptotic win).
     ("BM_TopKVsSortAll", "BM_SortAllThenTruncate"),
-    # Seeded-closure top-k with the frontier prune vs the same query with
-    # pruning disabled (full fixpoint feeding the bounded heap).
+    # Seeded-closure top-k with the frontier prune vs the same query as
+    # the unfused Limit(Sort(closure)) plan, which runs the full fixpoint.
     ("BM_ClosureTopKPruned", "BM_ClosureTopKFull"),
 ]
 
@@ -55,6 +55,7 @@ REAL_TIME_PAIRS = {"BM_ServingThroughputCached"}
 SELF_PARALLEL = [
     "BM_JoinRadixParallel",
     "BM_ClosureParallel",
+    "BM_ClosureParallelSeeded",
 ]
 
 
