@@ -301,6 +301,100 @@ void BM_OffsetJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_OffsetJoin)->Arg(10000)->Arg(30000);
 
+// A path step as the translation builds it (KeepEndpoints in
+// ra/ucqt_to_ra.cc): Distinct(Project(Join)) kept on the endpoints. The
+// executor composes it per run of equal sources, without materializing
+// the join. Serial, so cpu_time covers all the work.
+RaExprPtr PathStepPlan() {
+  return RaExpr::Distinct(RaExpr::Project(
+      RaExpr::Join(RaExpr::EdgeScan("e1", "x", "_c0"),
+                   RaExpr::EdgeScan("e2", "_c0", "z")),
+      {{"x", "x"}, {"z", "z"}}));
+}
+
+void BM_ExecCompose(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  PropertyGraph graph = RandomJoinGraph(n, n * 4);
+  Catalog catalog(graph);
+  RaExprPtr plan = PathStepPlan();
+  Executor executor(catalog);
+  ExecContext serial;
+  serial.dop = 1;
+  for (auto _ : state) {
+    auto result = executor.Run(plan, serial);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_ExecCompose)->Arg(10000)->Arg(30000);
+
+// The unfused path step on identical inputs: the offset join's rows, the
+// two-column copy of the projection, then Table::SortDistinct.
+void BM_ExecJoinProjectSort(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  PropertyGraph graph = RandomJoinGraph(n, n * 4);
+  graph.Finalize();
+  const auto& e1 = graph.EdgesByLabel("e1");
+  const auto& e2 = graph.EdgesByLabel("e2");
+  std::shared_ptr<const CsrView> e2_csr = graph.ForwardCsr("e2");
+  for (auto _ : state) {
+    const CsrView& csr = *e2_csr;
+    std::vector<NodeId> joined;
+    for (size_t p = 0; p < e1.size(); ++p) {
+      auto [lo, hi] = csr.Range(e1[p].second);
+      for (uint32_t i = lo; i < hi; ++i) {
+        joined.push_back(e1[p].first);
+        joined.push_back(e1[p].second);
+        joined.push_back(e2[i].second);
+      }
+    }
+    std::vector<NodeId> projected;
+    projected.reserve(joined.size() / 3 * 2);
+    for (size_t r = 0; r < joined.size(); r += 3) {
+      projected.push_back(joined[r]);
+      projected.push_back(joined[r + 2]);
+    }
+    Table t = Table::FromData({"x", "z"}, std::move(projected));
+    t.SortDistinct();
+    benchmark::DoNotOptimize(t);
+  }
+}
+BENCHMARK(BM_ExecJoinProjectSort)->Arg(10000)->Arg(30000);
+
+// A one-column Distinct over a dense id span (the targets of an edge
+// scan): Table::SortDistinct sets bits instead of sorting.
+void BM_ExecDistinctColumn(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  PropertyGraph graph = RandomJoinGraph(n, n * 4);
+  Catalog catalog(graph);
+  RaExprPtr plan = RaExpr::Distinct(
+      RaExpr::Project(RaExpr::EdgeScan("e1", "x", "y"), {{"y", "y"}}));
+  Executor executor(catalog);
+  ExecContext serial;
+  serial.dop = 1;
+  for (auto _ : state) {
+    auto result = executor.Run(plan, serial);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_ExecDistinctColumn)->Arg(10000)->Arg(30000);
+
+// The same column copied out of the edge list, then sorted and uniqued.
+void BM_SortUniqueColumn(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  PropertyGraph graph = RandomJoinGraph(n, n * 4);
+  graph.Finalize();
+  const auto& e1 = graph.EdgesByLabel("e1");
+  for (auto _ : state) {
+    std::vector<NodeId> column;
+    column.reserve(e1.size());
+    for (const Edge& e : e1) column.push_back(e.second);
+    std::sort(column.begin(), column.end());
+    column.erase(std::unique(column.begin(), column.end()), column.end());
+    benchmark::DoNotOptimize(column);
+  }
+}
+BENCHMARK(BM_SortUniqueColumn)->Arg(10000)->Arg(30000);
+
 // ---- Join-strategy counterparts -------------------------------------------
 // Radix-partitioned vs single-table flat-hash join on identical unsorted
 // two-column-key inputs (uniform or probe-skewed), and sort-merge vs hash

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <new>
 
+#include "eval/compose.h"
 #include "util/fault_injection.h"
 
 namespace gqopt {
@@ -124,36 +125,32 @@ Result<BinaryRelation> BinaryRelation::Compose(const BinaryRelation& a,
   if (a.empty() || b.empty()) return BinaryRelation();
   const std::vector<Edge>& bp = b.pairs_;
   const std::vector<Edge>& ap = a.pairs_;
-  // a is sorted by source, so the output is produced in runs of equal x.
-  // Sorting/deduping each run's targets independently yields globally
-  // sorted-unique output without a final full-size sort.
+  // a is sorted by source, so the runs of equal x compose one at a time
+  // into globally sorted-unique output (eval/compose.h), each run sorting
+  // and uniquing its targets.
+  RunDedup dedup;
   std::vector<Edge> out;
-  std::vector<NodeId> targets;
-  DeadlinePoller poll(deadline);
-  size_t i = 0;
-  while (i < ap.size()) {
-    NodeId x = ap[i].first;
-    targets.clear();
-    for (; i < ap.size() && ap[i].first == x; ++i) {
-      auto [lo, hi] = b.EqualRange(ap[i].second);
-      for (uint32_t j = lo; j < hi; ++j) {
-        targets.push_back(bp[j].second);
-        if (poll.Due()) {
-          if (deadline.Expired()) {
-            return Status::DeadlineExceeded("compose timed out");
-          }
-          if (out.size() + targets.size() > kMaxPairs) {
-            return Status::ResourceExhausted(
-                "compose exceeded the intermediate-result cap");
-          }
+  Status status = Status::OK();
+  ComposeRuns(
+      0, ap.size(), [&ap](size_t i) { return ap[i].first; },
+      [&ap](size_t i) { return ap[i].second; },
+      [&b, &bp](NodeId y, const auto& visit) {
+        auto [first, last] = b.EqualRange(y);
+        for (uint32_t j = first; j < last && visit(bp[j].second); ++j) {
         }
-      }
-    }
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()),
-                  targets.end());
-    for (NodeId z : targets) out.emplace_back(x, z);
-  }
+      },
+      deadline,
+      [&] {
+        if (deadline.Expired()) {
+          status = Status::DeadlineExceeded("compose timed out");
+        } else if (out.size() + dedup.pending() > kMaxPairs) {
+          status = Status::ResourceExhausted(
+              "compose exceeded the intermediate-result cap");
+        }
+        return !status.ok();
+      },
+      &dedup, [&out](NodeId x, NodeId z) { out.emplace_back(x, z); });
+  GQOPT_RETURN_NOT_OK(status);
   return FromSortedUnique(std::move(out));
 }
 

@@ -23,7 +23,6 @@ struct Closure {
   std::string_view what;
   const ClosureTopKBound& bound;
   size_t* pruned;
-  bool swapped;  // the result swaps its pairs, so ranges leave them unsorted
   NodeId moving_lo;
   NodeId moving_hi;
   bool dense;  // dedup form, chosen once from the whole closure's domain
@@ -39,8 +38,8 @@ struct Range {
 };
 
 // The semi-naive loop over the start pairs [first, last), which hold all
-// start pairs of their fixed values. Leaves the range's closure pairs in
-// out->pairs, sorted unless the result swaps them.
+// start pairs of their fixed values. Leaves the range's closure pairs,
+// unsorted, in out->pairs.
 Status RangeFixpoint(const Edge* first, const Edge* last, Closure& c,
                      Range* out) {
   const ExecContext& ctx = c.ctx;
@@ -166,25 +165,7 @@ Status RangeFixpoint(const Edge* first, const Edge* last, Closure& c,
     }
     delta.swap(next);
   }
-  // The ranges hold ascending, disjoint fixed values, so sorted ranges
-  // concatenate into a sorted result.
-  if (!c.swapped) SortUniquePairs(&acc);
   return Status::OK();
-}
-
-// Cuts `start` (sorted by fixed value) into contiguous ranges of at least
-// `grain` pairs (but the last), each extended to the end of its last
-// fixed value's run so that no fixed value spans two ranges. Returns the
-// range bounds.
-std::vector<size_t> CutRanges(const std::vector<Edge>& start, size_t grain) {
-  size_t n = start.size();
-  std::vector<size_t> cuts{0};
-  while (cuts.back() < n) {
-    size_t end = std::min(cuts.back() + grain, n);
-    while (end < n && start[end].first == start[end - 1].first) ++end;
-    cuts.push_back(end);
-  }
-  return cuts;
 }
 
 // The kernel: the closure of `adj` from the non-empty `start` pairs, a
@@ -209,15 +190,18 @@ Result<BinaryRelation> Fixpoint(const std::vector<Edge>& start,
   bool dense = PairDedupSet::DenseFits(
       uint64_t{start.back().first} - start.front().first + 1,
       uint64_t{moving_hi} - moving_lo + 1);
-  Closure c{adj,       ctx,       what,  bound,       pruned, swapped,
+  Closure c{adj,       ctx,       what,  bound,       pruned,
             moving_lo, moving_hi, dense, start.size()};
 
   // Like every operator, the closure sizes its parallelism by its input.
   // A bounded closure runs as one range: its prune bound is global. One
   // range runs inline on the caller's thread.
   int par = bound.k == 0 ? ctx.EffectiveDop(adj.size()) : 1;
-  std::vector<size_t> cuts = CutRanges(
-      start, par > 1 ? ParallelGrain(start.size(), par, 1) : start.size());
+  // No fixed value spans two ranges.
+  std::vector<size_t> cuts = CutAtRuns(
+      start.size(),
+      par > 1 ? ParallelGrain(start.size(), par, 1) : start.size(),
+      [&start](size_t i) { return start[i].first == start[i - 1].first; });
   std::vector<Range> ranges(cuts.size() - 1);
   bool ok = ParallelFor(
       ctx.TaskPool(), par, ranges.size(), 1, ctx.deadline,
@@ -229,6 +213,17 @@ Result<BinaryRelation> Fixpoint(const std::vector<Edge>& start,
       });
   for (const Range& range : ranges) GQOPT_RETURN_NOT_OK(range.status);
   if (!ok) return AbortStatus(ctx, what);
+  // Sorted only once every range succeeded, so a closure that fails (on
+  // the result cap, say) sorts nothing. The ranges hold ascending,
+  // disjoint fixed values, so sorted ranges concatenate into a sorted
+  // result.
+  if (!swapped && !ParallelFor(ctx.TaskPool(), par, ranges.size(), 1,
+                               ctx.deadline, [&](size_t r, size_t) {
+                                 SortUniquePairs(&ranges[r].pairs);
+                                 return true;
+                               })) {
+    return AbortStatus(ctx, what);
+  }
 
   // The ranges keep their memory charges until the closure returns: the
   // concatenated result holds the same pairs.

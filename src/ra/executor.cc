@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "eval/closure.h"
+#include "eval/compose.h"
 #include "eval/csr_view.h"
 #include "util/flat_hash.h"
 #include "util/offsets.h"
@@ -30,6 +32,209 @@ bool RowsMatch(const NodeId* a, const std::vector<int>& a_cols,
     if (a[a_cols[i]] != b[b_cols[i]]) return false;
   }
   return true;
+}
+
+// The dense-offset index rule: `t` is sorted ascending on its first
+// column, and that key's domain is within a constant factor of the rows.
+// The offset array costs O(max key), so this holds for dense node ids and
+// fails for a tiny table with a huge maximum id, where hashing wins.
+bool OffsetWorthwhile(const Table& t) {
+  if (t.ascending_prefix() < 1 || t.rows() == 0) return false;
+  NodeId max_key = t.Row(t.rows() - 1)[0];
+  return static_cast<size_t>(max_key) < 8 * t.rows() + 1024;
+}
+
+// A path step as the translation builds it: Distinct(Project(Join(L, R)))
+// with L and R binary, sharing exactly one column, and the projection
+// keeping the other column of each side. The side holding output column
+// 0 drives the composition; the other is indexed on the shared column.
+struct ComposeShape {
+  const RaExpr* project;
+  const RaExpr* join;
+  bool drive_left;
+  std::string middle;  // the shared column
+};
+
+std::optional<ComposeShape> MatchCompose(const RaExpr* distinct) {
+  const RaExpr* project = distinct->left().get();
+  if (project->op() != RaOp::kProject || project->mappings().size() != 2) {
+    return std::nullopt;
+  }
+  const RaExpr* join = project->left().get();
+  if (join->op() != RaOp::kJoin) return std::nullopt;
+  const RaExpr& left = *join->left();
+  const RaExpr& right = *join->right();
+  if (left.columns().size() != 2 || right.columns().size() != 2) {
+    return std::nullopt;
+  }
+  std::vector<std::string> shared = SharedColumns(left, right);
+  if (shared.size() != 1) return std::nullopt;
+  auto other = [&shared](const RaExpr& side) -> const std::string& {
+    return side.columns()[side.columns()[0] == shared[0] ? 1 : 0];
+  };
+  const std::string& first = project->mappings()[0].first;
+  const std::string& second = project->mappings()[1].first;
+  if (first == other(left) && second == other(right)) {
+    return ComposeShape{project, join, true, shared[0]};
+  }
+  if (first == other(right) && second == other(left)) {
+    return ComposeShape{project, join, false, shared[0]};
+  }
+  return std::nullopt;
+}
+
+// The fused path step: `drive` is sorted ascending on its output column
+// at position 0, and `index` holds `middle` and the target column. Runs
+// of equal drive values compose one at a time (eval/compose.h) into the
+// sorted, duplicate-free table the unfused Join -> Project -> Distinct
+// returns, without materializing the join. Adds the join's match count
+// to `*matches`.
+Result<Table> FusedCompose(const Table& drive, const Table& index,
+                           const std::string& middle,
+                           const std::vector<std::string>& columns,
+                           const ExecContext& ctx, size_t* matches) {
+  const Deadline& deadline = ctx.deadline;
+  if (drive.empty() || index.empty()) {
+    Table empty(columns);
+    empty.MarkSorted();
+    return empty;
+  }
+  const NodeId* drive_rows = drive.data().data();
+  const NodeId* index_rows = index.data().data();
+  const int index_middle = index.ColumnIndex(middle);
+  const int index_target = 1 - index_middle;
+  std::vector<NodeId> out;
+  // At dop > 1 the drive rows split at run boundaries into morsels, each
+  // with its own dedup; ParallelAppend concatenates them in order, so the
+  // output is the same at every dop. `join_rows`, the join's size, sizes
+  // the dedup (eval/compose.h).
+  auto compose = [&](size_t join_rows, const auto& targets) {
+    *matches += join_rows;
+    const uint64_t budget = RunDedup::DenseBudget(join_rows, index.rows());
+    NodeId lo = std::numeric_limits<NodeId>::max();
+    NodeId hi = 0;
+    if (index.rows() <= budget) {
+      for (size_t r = 0; r < index.rows(); ++r) {
+        lo = std::min(lo, index_rows[2 * r + index_target]);
+        hi = std::max(hi, index_rows[2 * r + index_target]);
+      }
+    }
+    const bool dense = lo <= hi && uint64_t{hi} - lo < budget;
+    int par = ctx.EffectiveDop(drive.rows());
+    std::vector<size_t> cuts = CutAtRuns(
+        drive.rows(),
+        par > 1 ? ParallelGrain(drive.rows(), par) : drive.rows(),
+        [drive_rows](size_t i) {
+          return drive_rows[2 * i] == drive_rows[2 * i - 2];
+        });
+    return ParallelAppend(
+        ctx.TaskPool(), par, cuts.size() - 1, 1, deadline, &out,
+        [&](size_t begin, size_t end, std::vector<NodeId>* dst) {
+          RunDedup dedup = dense ? RunDedup(lo, hi, ctx.mem) : RunDedup();
+          GrowthCharge charge(ctx.mem);
+          return ComposeRuns(
+              cuts[begin], cuts[end],
+              [drive_rows](size_t i) { return drive_rows[2 * i]; },
+              [drive_rows](size_t i) { return drive_rows[2 * i + 1]; },
+              targets, deadline,
+              [&] {
+                return deadline.Expired() ||
+                       !charge.Update((dst->capacity() + dedup.pending()) *
+                                      sizeof(NodeId));
+              },
+              &dedup, [dst](NodeId x, NodeId z) {
+                dst->push_back(x);
+                dst->push_back(z);
+              });
+        });
+  };
+  bool ok;
+  if (index_middle == 0 && OffsetWorthwhile(index)) {
+    NodeId max_key = index_rows[2 * (index.rows() - 1)];
+    std::vector<uint32_t> offsets;
+    FillSortedOffsets(
+        index.rows(), static_cast<size_t>(max_key) + 1,
+        [index_rows](uint32_t r) { return index_rows[2 * r]; }, &offsets);
+    TrackedBytes offsets_charge(ctx.mem);
+    offsets_charge.Add(
+        static_cast<int64_t>(offsets.size() * sizeof(uint32_t)));
+    if (deadline.Expired() || ctx.MemBreached()) {
+      return AbortStatus(ctx, "join");
+    }
+    size_t join_rows = 0;
+    for (size_t i = 0; i < drive.rows(); ++i) {
+      NodeId y = drive_rows[2 * i + 1];
+      if (y <= max_key) join_rows += offsets[y + 1] - offsets[y];
+    }
+    ok = compose(join_rows, [&](NodeId y, const auto& visit) {
+      if (y > max_key) return;
+      for (uint32_t r = offsets[y]; r < offsets[y + 1] &&
+                                    visit(index_rows[2 * r + 1]);
+           ++r) {
+      }
+    });
+  } else {
+    std::vector<uint64_t> keys(index.rows());
+    for (size_t r = 0; r < index.rows(); ++r) {
+      keys[r] = index_rows[2 * r + index_middle];
+    }
+    FlatJoinIndex hash(keys, ctx.mem);
+    if (deadline.Expired() || ctx.MemBreached()) {
+      return AbortStatus(ctx, "join");
+    }
+    size_t join_rows = 0;
+    for (size_t i = 0; i < drive.rows(); ++i) {
+      auto [it, end] = hash.Equal(drive_rows[2 * i + 1]);
+      join_rows += end - it;
+    }
+    ok = compose(join_rows, [&](NodeId y, const auto& visit) {
+      auto [it, end] = hash.Equal(y);
+      for (; it != end && visit(index_rows[2 * *it + index_target]); ++it) {
+      }
+    });
+  }
+  if (!ok) return AbortStatus(ctx, "join");
+  Table t = Table::FromData(columns, std::move(out));
+  t.MarkSorted();
+  return t;
+}
+
+// Distinct over the union of two tables sorted ascending in the same
+// column order: one merge pass that drops adjacent duplicates, instead of
+// concatenating and sorting.
+Result<Table> MergeDistinct(const Table& left, const Table& right,
+                            const std::vector<std::string>& columns,
+                            const ExecContext& ctx) {
+  const size_t k = left.arity();
+  const NodeId* l = left.data().data();
+  const NodeId* r = right.data().data();
+  const size_t ln = left.rows();
+  const size_t rn = right.rows();
+  std::vector<NodeId> out;
+  out.reserve(std::max(ln, rn) * k);
+  GrowthCharge charge(ctx.mem);
+  DeadlinePoller poll(ctx.deadline);
+  auto push = [&](const NodeId* row) {
+    if (!out.empty() && std::equal(row, row + k, out.end() - k)) return;
+    out.insert(out.end(), row, row + k);
+  };
+  size_t i = 0, j = 0;
+  while (i < ln || j < rn) {
+    if (poll.Due() && (ctx.deadline.Expired() ||
+                       !charge.Update(out.capacity() * sizeof(NodeId)))) {
+      return AbortStatus(ctx, "union");
+    }
+    if (j == rn || (i < ln && !std::lexicographical_compare(
+                                  r + j * k, r + (j + 1) * k, l + i * k,
+                                  l + (i + 1) * k))) {
+      push(l + (i++) * k);
+    } else {
+      push(r + (j++) * k);
+    }
+  }
+  Table t = Table::FromData(columns, std::move(out));
+  t.MarkSorted();
+  return t;
 }
 
 }  // namespace
@@ -510,11 +715,8 @@ Result<Table> Executor::Eval(const RaExpr* e, const ExecContext& ctx) {
         }
         return t;
       }
-      case RaOp::kDistinct: {
-        GQOPT_ASSIGN_OR_RETURN(Table child, Eval(e->left().get(), inner));
-        child.SortDistinct();
-        return child;
-      }
+      case RaOp::kDistinct:
+        return EvalDistinct(e, inner);
       case RaOp::kTransitiveClosure:
         return EvalClosure(e, inner);
       case RaOp::kSort:
@@ -549,6 +751,48 @@ Result<Table> Executor::Eval(const RaExpr* e, const ExecContext& ctx) {
     if (ctx.limit_hint == 0) memo_.emplace(key, result.value());
   }
   return result;
+}
+
+Result<Table> Executor::EvalDistinct(const RaExpr* e,
+                                     const ExecContext& ctx) {
+  const RaExpr* child_e = e->left().get();
+  // A fused node is not materialized: it records the rows the unfused
+  // plan would have produced, and 0 bytes.
+  auto record_fused = [this](const RaExpr* node, size_t rows) {
+    actual_rows_[node] = rows;
+    actual_bytes_[node] = 0;
+  };
+  if (std::optional<ComposeShape> shape = MatchCompose(e)) {
+    GQOPT_ASSIGN_OR_RETURN(Table left, Eval(shape->join->left().get(), ctx));
+    GQOPT_ASSIGN_OR_RETURN(Table right,
+                           Eval(shape->join->right().get(), ctx));
+    const Table& drive = shape->drive_left ? left : right;
+    // Fused only when the drive side is already sorted on its output
+    // column, at position 0 (the shared column is the other one): an
+    // input is never sorted for the composition's sake.
+    if (drive.ascending_prefix() >= 1 &&
+        drive.ColumnIndex(shape->middle) == 1) {
+      size_t matches = 0;
+      GQOPT_ASSIGN_OR_RETURN(
+          Table out,
+          FusedCompose(drive, shape->drive_left ? right : left,
+                       shape->middle, e->columns(), ctx, &matches));
+      record_fused(shape->join, matches);
+      record_fused(shape->project, matches);
+      return out;
+    }
+  } else if (child_e->op() == RaOp::kUnion) {
+    GQOPT_ASSIGN_OR_RETURN(Table left, Eval(child_e->left().get(), ctx));
+    GQOPT_ASSIGN_OR_RETURN(Table right, Eval(child_e->right().get(), ctx));
+    if (left.sorted() && right.sorted() && left.columns() == right.columns()) {
+      record_fused(child_e, left.rows() + right.rows());
+      return MergeDistinct(left, right, e->columns(), ctx);
+    }
+  }
+  // The general path; the inputs read above are memo hits here.
+  GQOPT_ASSIGN_OR_RETURN(Table child, Eval(child_e, ctx));
+  child.SortDistinct();
+  return child;
 }
 
 Result<Table> Executor::EvalJoin(const RaExpr* e, const ExecContext& ctx) {
@@ -655,19 +899,11 @@ Result<Table> Executor::EvalJoin(const RaExpr* e, const ExecContext& ctx) {
                left_keys[j] < static_cast<int>(m);
   }
   // Offset: a single shared column that one input is sorted on as its
-  // first column. The offset array costs O(max key), so require the key
-  // domain to be within a constant factor of the build rows (true for
-  // dense node ids; false for a tiny table with a huge maximum id, where
-  // hashing wins).
-  auto offset_worthwhile = [](const Table& t) {
-    if (t.ascending_prefix() < 1 || t.rows() == 0) return false;
-    NodeId max_key = t.Row(t.rows() - 1)[0];
-    return static_cast<size_t>(max_key) < 8 * t.rows() + 1024;
-  };
+  // first column, over a dense enough key domain.
   bool right_indexable =
-      m == 1 && right_keys[0] == 0 && offset_worthwhile(right);
+      m == 1 && right_keys[0] == 0 && OffsetWorthwhile(right);
   bool left_indexable =
-      m == 1 && left_keys[0] == 0 && offset_worthwhile(left);
+      m == 1 && left_keys[0] == 0 && OffsetWorthwhile(left);
 
   JoinStrategy strategy = e->join_strategy();
   if (strategy == JoinStrategy::kMergeSorted && !merge_ok) {

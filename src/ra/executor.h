@@ -1,7 +1,7 @@
 // Bottom-up RRA plan execution over a Catalog: hash joins, set-semantics
-// distinct, and transitive closures, optionally seeded from either side
-// (the µ-RA join-pushdown), through the semi-naive kernel of
-// eval/closure.h.
+// distinct (fused with the path step or sorted union beneath it), and
+// transitive closures, optionally seeded from either side (the µ-RA
+// join-pushdown), through the semi-naive kernel of eval/closure.h.
 
 #ifndef GQOPT_RA_EXECUTOR_H_
 #define GQOPT_RA_EXECUTOR_H_
@@ -24,12 +24,24 @@ namespace gqopt {
 /// pointer-shared or structurally identical across UCQT disjuncts — are
 /// evaluated once per Run() call (memoized by a structural plan key).
 ///
+/// Distinct uses the order its input already has rather than sorting
+/// it: a path step, Distinct(Project(Join)) over two binary inputs whose
+/// driving input is sorted on the first output column, composes per run
+/// of equal sources (eval/compose.h) without materializing the join or
+/// the projection, which record the join's match count as their actual
+/// rows and 0 bytes; Distinct(Union) over two sorted inputs merges them,
+/// the Union recording |L| + |R| rows and 0 bytes. Every other Distinct
+/// runs Table::SortDistinct over its materialized child. Each form
+/// returns the same sorted, duplicate-free table.
+///
 /// Execution is partition-parallel when the ExecContext carries dop > 1:
 /// radix-hash joins scatter, build, and probe their partitions across the
 /// pool, flat-hash probes / selections / projections split into morsels,
-/// and closures run one fixpoint per range of fixed values. Every
-/// operator remains bit-identical to its serial form at every dop
-/// (differential tests enforce it), so memoized tables are dop-agnostic.
+/// path-step compositions split their drive rows at run boundaries, and
+/// closures run one fixpoint per range of fixed values. Every operator,
+/// the fused ones included, remains bit-identical to its serial form at
+/// every dop (differential tests enforce it), so memoized tables are
+/// dop-agnostic.
 class Executor {
  public:
   explicit Executor(const Catalog& catalog) : catalog_(catalog) {}
@@ -44,14 +56,16 @@ class Executor {
 
   /// Actual output cardinality per plan node of the most recent Run()
   /// (cleared at the start of each run; memo hits record the shared
-  /// table's row count). EXPLAIN's analyze mode prints these next to the
-  /// estimates ("rows = est/actual") so estimator error is visible.
+  /// table's row count; fused nodes the rows they would have produced).
+  /// EXPLAIN's analyze mode prints these next to the estimates
+  /// ("rows = est/actual") so estimator error is visible.
   const std::unordered_map<const RaExpr*, size_t>& actual_rows() const {
     return actual_rows_;
   }
 
   /// Materialized result bytes per plan node of the most recent Run()
-  /// (memo hits record the shared table's size under their own node).
+  /// (memo hits record the shared table's size under their own node;
+  /// fused nodes, never materialized, record 0).
   /// EXPLAIN's analyze mode prints these as "mem=" so each operator's
   /// contribution to the query's footprint is visible.
   const std::unordered_map<const RaExpr*, size_t>& actual_bytes() const {
@@ -67,6 +81,7 @@ class Executor {
 
  private:
   Result<Table> Eval(const RaExpr* e, const ExecContext& ctx);
+  Result<Table> EvalDistinct(const RaExpr* e, const ExecContext& ctx);
   Result<Table> EvalJoin(const RaExpr* e, const ExecContext& ctx);
   Result<Table> EvalSemiJoin(const RaExpr* e, const ExecContext& ctx);
   Result<Table> EvalClosure(const RaExpr* e, const ExecContext& ctx,

@@ -1,6 +1,7 @@
 #include "ra/table.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 namespace gqopt {
@@ -49,6 +50,31 @@ void Table::SortDistinct() {
     if (!has_dup) return;
   }
   bool was_sorted = sorted();
+  if (k == 1 && !was_sorted) {
+    const std::vector<NodeId>& in = *block_;
+    auto [lo, hi] = std::minmax_element(in.begin(), in.end());
+    NodeId min = *lo;
+    uint64_t span = uint64_t{*hi} - min + 1;
+    if (span <= 8 * uint64_t{n} + 1024) {
+      // Dense span: one bit per id over [min, max], read back in order
+      // instead of sorting. The bitmap takes at most n + 128 bytes.
+      std::vector<uint64_t> bits((span + 63) / 64, 0);
+      for (NodeId v : in) {
+        bits[(v - min) >> 6] |= uint64_t{1} << ((v - min) & 63);
+      }
+      std::vector<NodeId> out;
+      for (size_t w = 0; w < bits.size(); ++w) {
+        for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+          out.push_back(min + static_cast<NodeId>(w * 64 +
+                                                  std::countr_zero(word)));
+        }
+      }
+      // Fresh storage: a shared input block is read, never cloned.
+      block_ = std::make_shared<std::vector<NodeId>>(std::move(out));
+      MarkSorted();
+      return;
+    }
+  }
   std::vector<NodeId>& data = Mutable();
   if (k == 1) {
     if (!was_sorted) std::sort(data.begin(), data.end());

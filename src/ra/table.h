@@ -59,7 +59,11 @@ class Table {
     return block_->data() + row * arity();
   }
 
-  /// Sorts rows lexicographically and drops duplicates.
+  /// Sorts rows lexicographically and drops duplicates. A sorted table
+  /// is only scanned for adjacent duplicates; an unsorted one-column
+  /// table whose id span is below 8 × rows + 1024 is deduplicated through
+  /// a bitmap over [min, max], written to fresh storage, instead of a
+  /// sort.
   void SortDistinct();
 
   /// Physical ordering property: the number of leading columns the rows

@@ -196,6 +196,23 @@ bool ParallelAppend(ThreadPool* pool, int dop, size_t n, size_t grain,
   return true;
 }
 
+/// Cuts [0, n) into contiguous morsels of at least `grain` > 0 indices
+/// (but the last), each extended while `same_run(i)` holds — index i continues
+/// the run of index i - 1 — so that no run spans two morsels. Returns the
+/// morsel bounds, from 0 to n. Like ParallelFor's morsels, the cuts depend
+/// only on the input, never on scheduling.
+template <typename SameRun>
+std::vector<size_t> CutAtRuns(size_t n, size_t grain,
+                              const SameRun& same_run) {
+  std::vector<size_t> cuts{0};
+  while (cuts.back() < n) {
+    size_t end = std::min(cuts.back() + grain, n);
+    while (end < n && same_run(end)) ++end;
+    cuts.push_back(end);
+  }
+  return cuts;
+}
+
 }  // namespace gqopt
 
 #endif  // GQOPT_UTIL_THREAD_POOL_H_

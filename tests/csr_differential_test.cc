@@ -20,6 +20,7 @@
 #include "ra/ra_expr.h"
 #include "test_fixtures.h"
 #include "util/exec_context.h"
+#include "util/mem_tracker.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -455,5 +456,263 @@ TEST(ExecutorDifferentialTest, MemoHitSharesDataAndStaysCorrect) {
   EXPECT_EQ(SortedRows(via_memo), expected);
 }
 
+// ---- Fused path steps --------------------------------------------------
+// Distinct(Project(Join)) composes per run of equal sources when its
+// drive side is sorted on the output's first column; Distinct(Union)
+// merges two sorted inputs; a one-column Distinct over a dense span sets
+// bits. Each must return exactly the sorted, duplicate-free rows of the
+// unfused Join -> Project -> sort-and-dedup, which the nested-loop join
+// gives here.
+
+// The translation's path step: the join of `left` and `right` kept on
+// (a, b) and deduplicated.
+RaExprPtr PathStep(RaExprPtr left, RaExprPtr right, const std::string& a,
+                   const std::string& b) {
+  return RaExpr::Distinct(RaExpr::Project(
+      RaExpr::Join(std::move(left), std::move(right)), {{a, a}, {b, b}}));
+}
+
+// Rows of `t` in table order.
+std::vector<std::vector<NodeId>> Rows(const Table& t) {
+  std::vector<std::vector<NodeId>> rows;
+  for (size_t r = 0; r < t.rows(); ++r) {
+    rows.emplace_back(t.Row(r), t.Row(r) + t.arity());
+  }
+  return rows;
+}
+
+std::vector<std::vector<NodeId>> SortedUnique(
+    std::vector<std::vector<NodeId>> rows) {
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+// The path step's rows by the reference: nested-loop join, (a, b) kept,
+// sorted and deduplicated.
+std::vector<std::vector<NodeId>> NaiveStep(const Table& left,
+                                           const Table& right,
+                                           const std::string& a,
+                                           const std::string& b) {
+  Table joined = naive::Join(left, right);
+  int ia = joined.ColumnIndex(a);
+  int ib = joined.ColumnIndex(b);
+  std::vector<std::vector<NodeId>> rows;
+  for (size_t r = 0; r < joined.rows(); ++r) {
+    rows.push_back({joined.At(r, ia), joined.At(r, ib)});
+  }
+  return SortedUnique(std::move(rows));
+}
+
+// Checks the path step against the reference at dop 1 and 4, and that the
+// join was fused (not materialized: 0 bytes, the match count as its
+// rows) exactly when `fused`.
+void ExpectStep(const Catalog& catalog, const RaExprPtr& left,
+                const RaExprPtr& right, const std::string& a,
+                const std::string& b, bool fused, const std::string& what) {
+  RaExprPtr plan = PathStep(left, right, a, b);
+  Table result = RunPlan(catalog, plan);
+  Table l = RunPlan(catalog, left);
+  Table r = RunPlan(catalog, right);
+  EXPECT_TRUE(result.sorted()) << what;
+  EXPECT_EQ(Rows(result), NaiveStep(l, r, a, b)) << what;
+  Executor executor(catalog);
+  ASSERT_TRUE(executor.Run(plan, At(1)).ok()) << what;
+  const RaExpr* join = plan->left()->left().get();
+  EXPECT_EQ(executor.actual_rows().at(join), naive::Join(l, r).rows())
+      << what;
+  EXPECT_EQ(executor.actual_bytes().at(join) == 0, fused) << what;
+}
+
+// A graph whose runs repeat targets within one middle value and across
+// several: 24 nodes, node 3 a hub with an edge to every node on e1.
+PropertyGraph DuplicateHeavyGraph(uint64_t seed) {
+  PropertyGraph graph = RandomGraph(24, 160, seed);
+  for (NodeId v = 0; v < 24; ++v) (void)graph.AddEdge(3, "e1", v);
+  return graph;
+}
+
+TEST(FusedDistinctDifferentialTest, ComposeMatchesNaive) {
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    for (bool dense : {true, false}) {
+      PropertyGraph graph = dense ? DuplicateHeavyGraph(seed + 131)
+                                  : RandomGraph(60, 150, seed + 131);
+      Catalog catalog(graph);
+      std::string at = "seed " + std::to_string(seed) + " dense " +
+                       std::to_string(dense);
+      // a in the left input; the right one offset-indexed on y.
+      ExpectStep(catalog, RaExpr::EdgeScan("e1", "x", "y"),
+                 RaExpr::EdgeScan("e2", "y", "z"), "x", "z", true,
+                 "a in L, offset " + at);
+      // a in the right input (its columns follow the left's in the join).
+      ExpectStep(catalog, RaExpr::EdgeScan("e2", "y", "z"),
+                 RaExpr::EdgeScan("e1", "x", "y"), "x", "z", true,
+                 "a in R, offset " + at);
+      // The index side holds y second: hash-indexed.
+      ExpectStep(catalog, RaExpr::EdgeScan("e1", "x", "y"),
+                 RaExpr::EdgeScan("e2", "z", "y"), "x", "z", true,
+                 "hash " + at);
+      // Self-join (knows/knows).
+      ExpectStep(catalog, RaExpr::EdgeScan("e1", "x", "y"),
+                 RaExpr::EdgeScan("e1", "y", "z"), "x", "z", true,
+                 "self-join " + at);
+      // An unsorted index side repeating (y, z) rows: duplicates within
+      // one middle value.
+      ExpectStep(catalog, RaExpr::EdgeScan("e1", "x", "y"),
+                 RaExpr::Union(RaExpr::EdgeScan("e2", "y", "z"),
+                               RaExpr::EdgeScan("e3", "y", "z")),
+                 "x", "z", true, "union index " + at);
+      // Output column 0 is the second column of its side: the drive side
+      // is not sorted on it, so the unfused path runs.
+      ExpectStep(catalog, RaExpr::EdgeScan("e1", "x", "y"),
+                 RaExpr::EdgeScan("e2", "y", "z"), "z", "x", false,
+                 "reversed output " + at);
+      // A drive side at position 0 but unsorted (a reordering
+      // projection): the unfused path.
+      ExpectStep(catalog,
+                 RaExpr::Project(RaExpr::EdgeScan("e1", "y", "x"),
+                                 {{"x", "x"}, {"y", "y"}}),
+                 RaExpr::EdgeScan("e2", "y", "z"), "x", "z", false,
+                 "unsorted drive " + at);
+      // An empty side.
+      ExpectStep(catalog, RaExpr::EdgeScan("e1", "x", "y"),
+                 RaExpr::EdgeScan("nope", "y", "z"), "x", "z", true,
+                 "empty index " + at);
+      ExpectStep(catalog, RaExpr::EdgeScan("nope", "x", "y"),
+                 RaExpr::EdgeScan("e2", "y", "z"), "x", "z", true,
+                 "empty drive " + at);
+    }
+  }
+}
+
+TEST(FusedDistinctDifferentialTest, ComposeOverSparseIds) {
+  // 300,000 nodes but few edges: the id span is far above 8x the index
+  // rows, so the index hashes and each run sorts instead of stamping.
+  PropertyGraph graph;
+  for (size_t i = 0; i < 300000; ++i) graph.AddNode("N");
+  Rng rng(5);
+  for (const char* label : {"e1", "e2"}) {
+    for (size_t i = 0; i < 300; ++i) {
+      (void)graph.AddEdge(static_cast<NodeId>(rng.Uniform(40)), label,
+                          static_cast<NodeId>(rng.Uniform(300000)));
+      (void)graph.AddEdge(static_cast<NodeId>(250000 + rng.Uniform(40)),
+                          label, static_cast<NodeId>(rng.Uniform(40)));
+    }
+  }
+  Catalog catalog(graph);
+  ExpectStep(catalog, RaExpr::EdgeScan("e1", "x", "y"),
+             RaExpr::EdgeScan("e2", "y", "z"), "x", "z", true, "sparse");
+  ExpectStep(catalog, RaExpr::EdgeScan("e1", "x", "y"),
+             RaExpr::EdgeScan("e1", "z", "y"), "x", "z", true,
+             "sparse hash");
+  // Graph-engine composition over huge ids shares the per-run step.
+  NodeId huge = std::numeric_limits<NodeId>::max();
+  BinaryRelation a = BinaryRelation::FromPairs(
+      {{1, 5}, {1, 6}, {2, huge}, {2, 5}, {huge, 6}});
+  BinaryRelation b = BinaryRelation::FromPairs(
+      {{5, huge}, {5, 7}, {6, 7}, {6, 0}, {huge, 7}, {huge, 9}});
+  auto composed = BinaryRelation::Compose(a, b);
+  ASSERT_TRUE(composed.ok());
+  EXPECT_EQ(composed->pairs(), naive::Compose(a, b).pairs());
+}
+
+TEST(FusedDistinctDifferentialTest, OneColumnDistinctMatchesNaive) {
+  PropertyGraph dense = RandomGraph(60, 150, 141);
+  PropertyGraph sparse;
+  for (size_t i = 0; i < 200000; ++i) sparse.AddNode("N");
+  // Sources 0, 1, 2 keep the projected targets out of order.
+  for (Edge e : std::vector<Edge>{{0, 150000}, {1, 199999}, {1, 7},
+                                  {1, 3}, {2, 7}, {2, 5}, {2, 199999}}) {
+    (void)sparse.AddEdge(e.first, "e1", e.second);
+  }
+  for (const PropertyGraph* graph : {&dense, &sparse}) {
+    Catalog catalog(*graph);
+    // The scan's targets: unsorted, with duplicates.
+    RaExprPtr targets =
+        RaExpr::Project(RaExpr::EdgeScan("e1", "x", "y"), {{"y", "y"}});
+    Table input = RunPlan(catalog, targets);
+    Table result = RunPlan(catalog, RaExpr::Distinct(targets));
+    EXPECT_TRUE(result.sorted());
+    EXPECT_EQ(Rows(result), SortedUnique(Rows(input)));
+  }
+}
+
+TEST(FusedDistinctDifferentialTest, SortedUnionMergeMatchesNaive) {
+  PropertyGraph graph = RandomGraph(20, 120, 151);
+  for (size_t i = 0; i < 7; ++i) {
+    (void)graph.AddEdge(static_cast<NodeId>(i), "e4",
+                        static_cast<NodeId>(i * 2));
+  }
+  Catalog catalog(graph);
+  auto expect_union = [&](const RaExprPtr& left, const RaExprPtr& right,
+                          bool merged, const std::string& what) {
+    RaExprPtr plan = RaExpr::Distinct(RaExpr::Union(left, right));
+    Table result = RunPlan(catalog, plan);
+    std::vector<std::vector<NodeId>> expected =
+        Rows(RunPlan(catalog, RaExpr::Union(left, right)));
+    EXPECT_TRUE(result.sorted()) << what;
+    EXPECT_EQ(Rows(result), SortedUnique(std::move(expected))) << what;
+    Executor executor(catalog);
+    ASSERT_TRUE(executor.Run(plan, At(1)).ok()) << what;
+    const RaExpr* u = plan->left().get();
+    EXPECT_EQ(executor.actual_rows().at(u),
+              RunPlan(catalog, left).rows() + RunPlan(catalog, right).rows())
+        << what;
+    EXPECT_EQ(executor.actual_bytes().at(u) == 0, merged) << what;
+  };
+  RaExprPtr e1 = RaExpr::EdgeScan("e1", "x", "y");
+  // Duplicates across the two sides (a dense 20-node graph).
+  expect_union(e1, RaExpr::EdgeScan("e2", "x", "y"), true, "overlap");
+  expect_union(e1, e1, true, "identical");
+  // Unequal lengths, either way round.
+  expect_union(e1, RaExpr::EdgeScan("e4", "x", "y"), true, "short right");
+  expect_union(RaExpr::EdgeScan("e4", "x", "y"), e1, true, "short left");
+  // One side empty.
+  expect_union(e1, RaExpr::EdgeScan("nope", "x", "y"), true, "empty right");
+  expect_union(RaExpr::EdgeScan("nope", "x", "y"), e1, true, "empty left");
+  // One column.
+  expect_union(RaExpr::NodeScan({"SEED"}, "x"),
+               RaExpr::Project(e1, {{"x", "x"}}), true, "one column");
+  // Misaligned columns, and an unsorted side: concatenate and sort.
+  expect_union(e1, RaExpr::EdgeScan("e2", "y", "x"), false, "misaligned");
+  expect_union(e1,
+               RaExpr::Project(RaExpr::EdgeScan("e2", "y", "x"),
+                               {{"x", "x"}, {"y", "y"}}),
+               false, "unsorted");
+}
+
+TEST(FusedDistinctDifferentialTest, ComposeAbortsWithTypedStatus) {
+  PropertyGraph graph = RandomGraph(2000, 8000, 161);
+  Catalog catalog(graph);
+  RaExprPtr left = RaExpr::EdgeScan("e1", "x", "y");
+  RaExprPtr right = RaExpr::EdgeScan("e2", "y", "z");
+  RaExprPtr plan = PathStep(left, right, "x", "z");
+  for (int dop : {1, 4}) {
+    ExecContext expired = At(dop);
+    expired.deadline = Deadline::AfterMillis(1);
+    while (!expired.deadline.Expired()) {
+    }
+    auto timed_out = Executor(catalog).Run(plan, expired);
+    ASSERT_FALSE(timed_out.ok());
+    EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded)
+        << timed_out.status().ToString();
+
+    // A budget that holds both scans but not the composition's index.
+    size_t scans = (RunPlan(catalog, left).data().size() +
+                    RunPlan(catalog, right).data().size()) *
+                   sizeof(NodeId);
+    MemoryTracker tracker(static_cast<int64_t>(scans) + 64, "query");
+    ExecContext tight = At(dop);
+    tight.mem = &tracker;
+    auto breached = Executor(catalog).Run(plan, tight);
+    ASSERT_FALSE(breached.ok());
+    EXPECT_EQ(breached.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(breached.status().message().find("resource: "),
+              std::string::npos)
+        << breached.status().ToString();
+    EXPECT_NE(breached.status().message().find("join"), std::string::npos)
+        << breached.status().ToString();
+  }
+}
 }  // namespace
 }  // namespace gqopt

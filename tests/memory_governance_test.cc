@@ -118,10 +118,10 @@ TEST(MemoryGovernanceTest, ServerBudgetReadFromEnvAndSettable) {
 }
 
 TEST(MemoryGovernanceTest, ServerBudgetCapsUnlimitedQueries) {
-  // At this size the closure query peaks at about 78 KB and the join
-  // query at about 46 KB, on either side of the ceiling.
+  // At this size the closure query peaks at about 47 KB and the join
+  // query at about 37 KB, on either side of the ceiling.
   Database db(YagoSchema(), GenerateYago({.persons = 600, .seed = 11}));
-  db.set_memory_limit(64 << 10);  // tiny server ceiling
+  db.set_memory_limit(41 << 10);  // tiny server ceiling
   Session session(db);  // per-query limit unset: the root still governs
   auto result = session.Query(kClosureQuery);
   ASSERT_FALSE(result.ok());

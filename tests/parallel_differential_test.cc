@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "eval/binary_relation.h"
@@ -221,6 +222,46 @@ TEST(ParallelDifferentialTest, EmptyInputs) {
                                        RaExpr::EdgeScan("e1", "y", "z"),
                                        JoinStrategy::kFlatHash);
   ExpectDopAgnostic(catalog, empty_probe);
+}
+
+TEST(ParallelDifferentialTest, FusedDistinctPaths) {
+  PropertyGraph graph = RandomGraph(2000, 8000, 21);
+  // A hub whose run of e1 rows is longer than a morsel: the cuts must
+  // move past it.
+  for (NodeId v = 0; v < 3000; ++v) {
+    (void)graph.AddEdge(7, "e1", (v * 7) % 2000);
+  }
+  Catalog catalog(graph);
+  auto step = [](RaExprPtr left, RaExprPtr right, const std::string& a,
+                 const std::string& b) {
+    return RaExpr::Distinct(RaExpr::Project(
+        RaExpr::Join(std::move(left), std::move(right)), {{a, a}, {b, b}}));
+  };
+  RaExprPtr xy = RaExpr::EdgeScan("e1", "x", "y");
+  RaExprPtr yz = RaExpr::EdgeScan("e2", "y", "z");
+  for (int dop : {2, 4}) {
+    // Composed: offset-indexed, a in the right input, hash-indexed,
+    // self-join, and an empty side.
+    ExpectDopAgnostic(catalog, step(xy, yz, "x", "z"), dop);
+    ExpectDopAgnostic(catalog, step(yz, xy, "x", "z"), dop);
+    ExpectDopAgnostic(
+        catalog, step(xy, RaExpr::EdgeScan("e2", "z", "y"), "x", "z"), dop);
+    ExpectDopAgnostic(
+        catalog, step(xy, RaExpr::EdgeScan("e1", "y", "z"), "x", "z"), dop);
+    ExpectDopAgnostic(
+        catalog, step(xy, RaExpr::EdgeScan("nope", "y", "z"), "x", "z"),
+        dop);
+    // Not composed: the drive side is not sorted on the output's first
+    // column.
+    ExpectDopAgnostic(catalog, step(xy, yz, "z", "x"), dop);
+    // Sorted unions merge; one-column distincts set bits.
+    ExpectDopAgnostic(
+        catalog,
+        RaExpr::Distinct(RaExpr::Union(xy, RaExpr::EdgeScan("e2", "x", "y"))),
+        dop);
+    ExpectDopAgnostic(
+        catalog, RaExpr::Distinct(RaExpr::Project(xy, {{"y", "y"}})), dop);
+  }
 }
 
 TEST(ParallelDifferentialTest, OptimizedPlansEndToEnd) {

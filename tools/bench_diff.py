@@ -25,6 +25,11 @@ PAIRS = [
     ("BM_OffsetJoin", "BM_SeedHashJoin"),
     ("BM_JoinRadixMultiKey", "BM_JoinFlatHashMultiKey"),
     ("BM_JoinMergeSorted", "BM_JoinHashSorted"),
+    # The fused per-run composition of a path step vs the unfused join,
+    # two-column copy and SortDistinct on identical inputs; and the
+    # dense one-column distinct vs sort-and-unique of the same column.
+    ("BM_ExecCompose", "BM_ExecJoinProjectSort"),
+    ("BM_ExecDistinctColumn", "BM_SortUniqueColumn"),
     # DP planner vs the retained greedy pass, end to end on the
     # interesting-order cluster (same process, same inputs).
     ("BM_JoinOrderQualityDP", "BM_JoinOrderQualityGreedy"),
