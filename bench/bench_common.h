@@ -31,11 +31,20 @@ struct PreparedQuery {
   RewriteStats stats;
 };
 
-/// Parses and rewrites every workload query; aborts on malformed input
-/// (the workload is ours, so failures are programming errors).
+/// The paper's annotated rewrite (Example 13), which the experiment
+/// binaries reproduce; the facade serves the engine form (docs/API.md).
+inline RewriteOptions PaperForm() {
+  RewriteOptions options;
+  options.enable_annotations = true;
+  return options;
+}
+
+/// Parses and rewrites every workload query, in the paper form unless
+/// `options` says otherwise; aborts on malformed input (the workload is
+/// ours, so failures are programming errors).
 inline std::vector<PreparedQuery> PrepareWorkload(
     const std::vector<WorkloadQuery>& workload, const GraphSchema& schema,
-    const RewriteOptions& options = {}) {
+    const RewriteOptions& options = PaperForm()) {
   std::vector<PreparedQuery> out;
   for (const WorkloadQuery& wq : workload) {
     auto parsed = ParseWorkloadQuery(wq);

@@ -395,6 +395,66 @@ void BM_SortUniqueColumn(benchmark::State& state) {
 }
 BENCHMARK(BM_SortUniqueColumn)->Arg(10000)->Arg(30000);
 
+// Three sorted binary edge tables that overlap: e1 and e2 random, e3 half
+// of e1 plus as many random edges — the shape of a rewritten path union,
+// whose disjuncts share some rows.
+PropertyGraph RandomUnionGraph(size_t nodes) {
+  PropertyGraph graph = RandomJoinGraph(nodes, nodes * 4);
+  graph.Finalize();
+  Rng rng(23);
+  std::vector<Edge> e1 = graph.EdgesByLabel("e1");
+  for (size_t i = 0; i < e1.size(); ++i) {
+    if (i % 2 == 0) {
+      (void)graph.AddEdge(e1[i].first, "e3", e1[i].second);
+    } else {
+      (void)graph.AddEdge(static_cast<NodeId>(rng.Uniform(nodes)), "e3",
+                          static_cast<NodeId>(rng.Uniform(nodes)));
+    }
+  }
+  return graph;
+}
+
+// Distinct over a nested three-leaf union of sorted scans, as a rewritten
+// path union ends: the executor merges the leaves in one pass. Serial, so
+// cpu_time covers all the work.
+void BM_ExecDistinctNestedUnion(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  PropertyGraph graph = RandomUnionGraph(n);
+  Catalog catalog(graph);
+  RaExprPtr plan = RaExpr::Distinct(RaExpr::Union(
+      RaExpr::Union(RaExpr::EdgeScan("e1", "x", "y"),
+                    RaExpr::EdgeScan("e2", "x", "y")),
+      RaExpr::EdgeScan("e3", "x", "y")));
+  Executor executor(catalog);
+  ExecContext serial;
+  serial.dop = 1;
+  for (auto _ : state) {
+    auto result = executor.Run(plan, serial);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_ExecDistinctNestedUnion)->Arg(10000)->Arg(30000);
+
+// The same three tables concatenated, then Table::SortDistinct.
+void BM_ConcatSortUnion(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  PropertyGraph graph = RandomUnionGraph(n);
+  graph.Finalize();
+  for (auto _ : state) {
+    std::vector<NodeId> rows;
+    for (const char* label : {"e1", "e2", "e3"}) {
+      for (const Edge& e : graph.EdgesByLabel(label)) {
+        rows.push_back(e.first);
+        rows.push_back(e.second);
+      }
+    }
+    Table t = Table::FromData({"x", "y"}, std::move(rows));
+    t.SortDistinct();
+    benchmark::DoNotOptimize(t);
+  }
+}
+BENCHMARK(BM_ConcatSortUnion)->Arg(10000)->Arg(30000);
+
 // ---- Join-strategy counterparts -------------------------------------------
 // Radix-partitioned vs single-table flat-hash join on identical unsorted
 // two-column-key inputs (uniform or probe-skewed), and sort-merge vs hash

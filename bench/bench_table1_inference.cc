@@ -84,7 +84,9 @@ int main() {
   std::printf("\n== Example 13: schema-enriched query RS(phi4) ==\n");
   auto query =
       ParseUcqt("x1, x2 <- (x1, livesIn/isLocatedIn+/dealsWith+, x2)");
-  auto rewritten = RewriteQuery(*query, schema);
+  RewriteOptions paper_form;  // Example 13 is the annotated form
+  paper_form.enable_annotations = true;
+  auto rewritten = RewriteQuery(*query, schema, paper_form);
   std::printf("  input:     %s\n", query->ToString().c_str());
   std::printf("  rewritten: %s\n",
               rewritten->query.ToString().c_str());

@@ -377,6 +377,16 @@ NodeId Database::AddNode(std::string_view label,
 Status Database::AddEdge(NodeId source, std::string_view label,
                          NodeId target) {
   std::lock_guard<std::mutex> lock(state_mu_);
+  // A rewritten plan is exact only on a graph that conforms to the schema
+  // (Def 3, Theorem 1), so an edge the schema does not admit is refused
+  // before it reaches the delta or the master. A schema that declares no
+  // edge labels constrains nothing (and never yields a rewritten plan).
+  // A bad endpoint is left to the write path's OutOfRange.
+  if (schema_.num_edge_labels() > 0 && source < graph_.num_nodes() &&
+      target < graph_.num_nodes()) {
+    GQOPT_RETURN_NOT_OK(schema_.CheckEdge(graph_.NodeLabel(source), label,
+                                          graph_.NodeLabel(target)));
+  }
   if (base_graph_ == nullptr) {
     GQOPT_RETURN_NOT_OK(graph_.AddEdge(source, label, target));
   } else {

@@ -349,6 +349,11 @@ class Database {
   /// auto-compact once the buffer exceeds the merge threshold (a failed
   /// auto-compaction is counted and retried later; the write itself
   /// still succeeds). A duplicate edge changes no content and returns OK.
+  /// AddEdge refuses, with InvalidArgument and no change, an edge whose
+  /// (source label, edge label, target label) is not a basic triple of
+  /// the schema — rewritten plans are exact only on conforming graphs. A
+  /// schema that declares no edge labels admits any edge. Loads (the
+  /// constructors, Open, Use) and AddNode are not checked yet.
   NodeId AddNode(std::string_view label, std::vector<Property> properties = {});
   Status AddEdge(NodeId source, std::string_view label, NodeId target);
 

@@ -25,10 +25,24 @@ struct RewriteOptions {
   bool enable_simplification = true;
   /// Allow PlC to replace transitive closures by fixed-length paths.
   bool enable_tc_elimination = true;
-  /// Keep node-label annotations / endpoint constraints. When false the
-  /// rewrite can still eliminate transitive closures but adds no label
-  /// filters (ablation mode).
-  bool enable_annotations = true;
+  /// Which of the rewrite's two forms to produce. Both eliminate the same
+  /// transitive closures; they differ in the node-label atoms the
+  /// inference adds.
+  ///
+  /// false (the engine form, served by Database::Prepare): no inferred
+  /// label atoms and no split at annotated junctions. On a graph that
+  /// conforms to the schema every inferred annotation is implied by the
+  /// path, and this engine stores edges per edge label, so a node label
+  /// is never an access path here, only a filter that removes nothing.
+  ///
+  /// true (the paper form, Example 13): annotations and endpoint
+  /// constraints are kept, and a path splits into separate relations at
+  /// each annotated junction. In a SQL or Cypher backend a label filter
+  /// can shrink a table scan (Fig 15-17), so the emitters and the paper's
+  /// tables request this form.
+  ///
+  /// Label atoms the query itself writes are kept in either form.
+  bool enable_annotations = false;
   /// Cap on the number of disjuncts the rewritten query may have; beyond
   /// this the rewriter reverts (guards the per-CQT alternative product).
   size_t max_disjuncts = 64;

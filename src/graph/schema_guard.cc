@@ -36,17 +36,9 @@ Status SchemaGuard::AddEdge(NodeId source, std::string_view edge_label,
   if (source >= graph_->num_nodes() || target >= graph_->num_nodes()) {
     return Status::OutOfRange("edge endpoint out of range");
   }
-  if (!schema_.HasEdgeLabel(edge_label)) {
-    return Status::InvalidArgument("edge label '" + std::string(edge_label) +
-                                   "' is not declared by the schema");
-  }
-  const std::string& source_label = graph_->NodeLabel(source);
-  const std::string& target_label = graph_->NodeLabel(target);
-  if (!schema_.Admits(source_label, edge_label, target_label)) {
-    return Status::InvalidArgument(
-        "schema does not admit " + source_label + " -" +
-        std::string(edge_label) + "-> " + target_label);
-  }
+  GQOPT_RETURN_NOT_OK(schema_.CheckEdge(graph_->NodeLabel(source),
+                                        edge_label,
+                                        graph_->NodeLabel(target)));
   return graph_->AddEdge(source, edge_label, target);
 }
 

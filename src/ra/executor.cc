@@ -199,42 +199,147 @@ Result<Table> FusedCompose(const Table& drive, const Table& index,
   return t;
 }
 
-// Distinct over the union of two tables sorted ascending in the same
-// column order: one merge pass that drops adjacent duplicates, instead of
-// concatenating and sorting.
-Result<Table> MergeDistinct(const Table& left, const Table& right,
-                            const std::vector<std::string>& columns,
-                            const ExecContext& ctx) {
-  const size_t k = left.arity();
-  const NodeId* l = left.data().data();
-  const NodeId* r = right.data().data();
-  const size_t ln = left.rows();
-  const size_t rn = right.rows();
-  std::vector<NodeId> out;
-  out.reserve(std::max(ln, rn) * k);
-  GrowthCharge charge(ctx.mem);
-  DeadlinePoller poll(ctx.deadline);
-  auto push = [&](const NodeId* row) {
-    if (!out.empty() && std::equal(row, row + k, out.end() - k)) return;
-    out.insert(out.end(), row, row + k);
-  };
-  size_t i = 0, j = 0;
-  while (i < ln || j < rn) {
-    if (poll.Due() && (ctx.deadline.Expired() ||
-                       !charge.Update(out.capacity() * sizeof(NodeId)))) {
-      return AbortStatus(ctx, "union");
+// How the merge reads a row: rows of one or two columns pack into one
+// uint64_t key, compared without a branch; wider rows compare
+// lexicographically through a pointer to the row. (Comparing two-column
+// rows lexicographically makes BM_ExecDistinctNestedUnion 1.5x slower,
+// and slower than concatenating and sorting; Release, 4 vCPUs.)
+struct PackedRows {
+  size_t arity;
+  uint64_t Key(const NodeId* row) const {
+    return arity == 1 ? row[0] : (uint64_t{row[0]} << 32) | row[1];
+  }
+  static bool Less(uint64_t a, uint64_t b) { return a < b; }
+};
+
+struct WideRows {
+  size_t arity;
+  const NodeId* Key(const NodeId* row) const { return row; }
+  bool Less(const NodeId* a, const NodeId* b) const {
+    return std::lexicographical_compare(a, a + arity, b, b + arity);
+  }
+};
+
+// The most inputs the merge takes. Each output row scans every input's
+// current key, which compiles to conditional moves for packed keys; a
+// wider union (the rewriter allows 64 disjuncts) concatenates and sorts.
+constexpr size_t kMergeMaxInputs = 8;
+
+// Calls `emit(row)` once per distinct row of `inputs` (at most
+// kMergeMaxInputs, each sorted ascending), in ascending order. False
+// when the deadline expired.
+template <typename Rows, typename Emit>
+bool MergeSortedRuns(const std::vector<Table>& inputs, const Rows& rows,
+                     const Deadline& deadline, Emit emit) {
+  using Key = decltype(rows.Key(nullptr));
+  // The inputs' cursors live in local arrays, so each row's selection
+  // reads no vector through memory.
+  Key key[kMergeMaxInputs];
+  const NodeId* row[kMergeMaxInputs];
+  const NodeId* end[kMergeMaxInputs];
+  size_t n = 0;
+  for (const Table& t : inputs) {
+    if (t.empty()) continue;
+    row[n] = t.data().data();
+    end[n] = row[n] + t.data().size();
+    key[n] = rows.Key(row[n]);
+    ++n;
+  }
+  DeadlinePoller poll(deadline);
+  bool first = true;
+  Key last{};  // keys only ascend: a row repeats the last iff not greater
+  while (n > 0) {
+    size_t min = 0;
+    Key best = key[0];
+    for (size_t i = 1; i < n; ++i) {
+      bool less = rows.Less(key[i], best);
+      best = less ? key[i] : best;
+      min = less ? i : min;
     }
-    if (j == rn || (i < ln && !std::lexicographical_compare(
-                                  r + j * k, r + (j + 1) * k, l + i * k,
-                                  l + (i + 1) * k))) {
-      push(l + (i++) * k);
+    if (first || rows.Less(last, best)) {
+      emit(row[min]);
+      last = best;
+      first = false;
+    }
+    row[min] += rows.arity;
+    if (row[min] == end[min]) {
+      --n;
+      key[min] = key[n];
+      row[min] = row[n];
+      end[min] = end[n];
     } else {
-      push(r + (j++) * k);
+      key[min] = rows.Key(row[min]);
     }
+    if (poll.Expired()) return false;
+  }
+  return true;
+}
+
+// Distinct over the union of `inputs`, each fully sorted ascending in
+// `columns`' order: one k-way merge that drops adjacent duplicates,
+// instead of concatenating and sorting. The output is sized exactly: a
+// first pass counts the distinct rows, then one block of that size is
+// charged and allocated, and a second pass fills it.
+template <typename Rows>
+Result<Table> MergeDistinctBy(const std::vector<Table>& inputs,
+                              const std::vector<std::string>& columns,
+                              const ExecContext& ctx, const Rows& rows) {
+  const size_t k = columns.size();
+  size_t count = 0;
+  if (!MergeSortedRuns(inputs, rows, ctx.deadline,
+                       [&count](const NodeId*) { ++count; })) {
+    return AbortStatus(ctx, "union");
+  }
+  TrackedBytes charge(ctx.mem);
+  if (!charge.Add(static_cast<int64_t>(count * k * sizeof(NodeId)))) {
+    return AbortStatus(ctx, "union");
+  }
+  std::vector<NodeId> out;
+  out.reserve(count * k);
+  if (!MergeSortedRuns(inputs, rows, ctx.deadline,
+                       [&out, k](const NodeId* row) {
+                         out.insert(out.end(), row, row + k);
+                       })) {
+    return AbortStatus(ctx, "union");
+  }
+  if (out.size() != count * k) {
+    return Status::Internal("union merge filled a different row count");
   }
   Table t = Table::FromData(columns, std::move(out));
   t.MarkSorted();
   return t;
+}
+
+Result<Table> MergeDistinct(const std::vector<Table>& inputs,
+                            const std::vector<std::string>& columns,
+                            const ExecContext& ctx) {
+  if (columns.size() <= 2) {
+    return MergeDistinctBy(inputs, columns, ctx, PackedRows{columns.size()});
+  }
+  return MergeDistinctBy(inputs, columns, ctx, WideRows{columns.size()});
+}
+
+// The leaves of the Union tree rooted at `e`, left to right, and each
+// Union node in it with the range [begin, end) of the leaves beneath it.
+struct UnionTree {
+  struct Node {
+    const RaExpr* node;
+    size_t begin;
+    size_t end;
+  };
+  std::vector<const RaExpr*> leaves;
+  std::vector<Node> unions;
+};
+
+void FlattenUnion(const RaExpr* e, UnionTree* tree) {
+  if (e->op() != RaOp::kUnion) {
+    tree->leaves.push_back(e);
+    return;
+  }
+  size_t begin = tree->leaves.size();
+  FlattenUnion(e->left().get(), tree);
+  FlattenUnion(e->right().get(), tree);
+  tree->unions.push_back({e, begin, tree->leaves.size()});
 }
 
 }  // namespace
@@ -782,11 +887,28 @@ Result<Table> Executor::EvalDistinct(const RaExpr* e,
       return out;
     }
   } else if (child_e->op() == RaOp::kUnion) {
-    GQOPT_ASSIGN_OR_RETURN(Table left, Eval(child_e->left().get(), ctx));
-    GQOPT_ASSIGN_OR_RETURN(Table right, Eval(child_e->right().get(), ctx));
-    if (left.sorted() && right.sorted() && left.columns() == right.columns()) {
-      record_fused(child_e, left.rows() + right.rows());
-      return MergeDistinct(left, right, e->columns(), ctx);
+    // Merged only when the Union tree has at most kMergeMaxInputs leaves
+    // and every leaf is sorted ascending in this node's column order (an
+    // empty leaf adds nothing): a leaf is never sorted for the merge's
+    // sake.
+    UnionTree tree;
+    FlattenUnion(child_e, &tree);
+    std::vector<Table> leaves;
+    leaves.reserve(tree.leaves.size());
+    bool mergeable = tree.leaves.size() <= kMergeMaxInputs;
+    for (const RaExpr* leaf : tree.leaves) {
+      GQOPT_ASSIGN_OR_RETURN(Table t, Eval(leaf, ctx));
+      mergeable = mergeable &&
+                  (t.empty() || (t.sorted() && t.columns() == e->columns()));
+      leaves.push_back(std::move(t));
+    }
+    if (mergeable) {
+      for (const UnionTree::Node& u : tree.unions) {
+        size_t rows = 0;
+        for (size_t i = u.begin; i < u.end; ++i) rows += leaves[i].rows();
+        record_fused(u.node, rows);
+      }
+      return MergeDistinct(leaves, e->columns(), ctx);
     }
   }
   // The general path; the inputs read above are memo hits here.

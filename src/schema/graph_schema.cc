@@ -69,14 +69,17 @@ Status GraphSchema::AddProperty(std::string_view node_label,
 void GraphSchema::AddEdge(std::string_view source_label,
                           std::string_view edge_label,
                           std::string_view target_label) {
-  AddNodeLabel(source_label);
-  AddNodeLabel(target_label);
-  edge_labels_.Intern(edge_label);
-  BasicTriple triple{std::string(source_label), std::string(edge_label),
-                     std::string(target_label)};
-  if (triple_set_.insert(triple).second) {
-    triples_.push_back(std::move(triple));
-  }
+  std::pair<SymbolId, SymbolId> ends{AddNodeLabel(source_label),
+                                     AddNodeLabel(target_label)};
+  SymbolId edge = edge_labels_.Intern(edge_label);
+  if (edge >= endpoints_.size()) endpoints_.resize(edge + 1);
+  std::vector<std::pair<SymbolId, SymbolId>>& admitted = endpoints_[edge];
+  auto it = std::lower_bound(admitted.begin(), admitted.end(), ends);
+  if (it != admitted.end() && *it == ends) return;
+  admitted.insert(it, ends);
+  triples_.push_back(BasicTriple{std::string(source_label),
+                                 std::string(edge_label),
+                                 std::string(target_label)});
 }
 
 bool GraphSchema::HasNodeLabel(std::string_view label) const {
@@ -124,9 +127,26 @@ std::set<std::string> GraphSchema::TargetLabelsOf(
 bool GraphSchema::Admits(std::string_view source_label,
                          std::string_view edge_label,
                          std::string_view target_label) const {
-  BasicTriple probe{std::string(source_label), std::string(edge_label),
-                    std::string(target_label)};
-  return triple_set_.count(probe) > 0;
+  std::optional<SymbolId> edge = edge_labels_.Find(edge_label);
+  std::optional<SymbolId> source = node_labels_.Find(source_label);
+  std::optional<SymbolId> target = node_labels_.Find(target_label);
+  if (!edge || !source || !target) return false;
+  return std::binary_search(endpoints_[*edge].begin(),
+                            endpoints_[*edge].end(),
+                            std::pair<SymbolId, SymbolId>{*source, *target});
+}
+
+Status GraphSchema::CheckEdge(std::string_view source_label,
+                              std::string_view edge_label,
+                              std::string_view target_label) const {
+  if (Admits(source_label, edge_label, target_label)) return Status::OK();
+  if (!HasEdgeLabel(edge_label)) {
+    return Status::InvalidArgument("edge label '" + std::string(edge_label) +
+                                   "' is not declared by the schema");
+  }
+  return Status::InvalidArgument(
+      "schema does not admit " + std::string(source_label) + " -" +
+      std::string(edge_label) + "-> " + std::string(target_label));
 }
 
 std::string GraphSchema::ToString() const {

@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "schema/symbol_table.h"
@@ -97,9 +98,16 @@ class GraphSchema {
   /// Distinct target labels admissible for `edge_label`.
   std::set<std::string> TargetLabelsOf(std::string_view edge_label) const;
 
-  /// True when the schema admits `source -[edge]-> target`.
+  /// True when the schema admits `source -[edge]-> target`. Builds no
+  /// string: the labels are looked up by id.
   bool Admits(std::string_view source_label, std::string_view edge_label,
               std::string_view target_label) const;
+
+  /// OK when `source -[edge]-> target` is one of the basic triples (Def
+  /// 5); otherwise InvalidArgument naming the undeclared edge label or
+  /// the inadmissible triple.
+  Status CheckEdge(std::string_view source_label, std::string_view edge_label,
+                   std::string_view target_label) const;
 
   size_t num_node_labels() const { return node_labels_.size(); }
   size_t num_edge_labels() const { return edge_labels_.size(); }
@@ -114,7 +122,9 @@ class GraphSchema {
   // Property defs indexed by node-label id.
   std::vector<std::vector<PropertyDef>> properties_;
   std::vector<BasicTriple> triples_;
-  std::set<BasicTriple> triple_set_;  // Dedup for AddEdge idempotence.
+  // Per edge-label id: the sorted (source, target) node-label id pairs it
+  // admits. Answers Admits and keeps AddEdge idempotent.
+  std::vector<std::vector<std::pair<SymbolId, SymbolId>>> endpoints_;
 };
 
 }  // namespace gqopt

@@ -3,7 +3,7 @@
 namespace gqopt {
 
 SymbolId SymbolTable::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   SymbolId id = static_cast<SymbolId>(names_.size());
   names_.emplace_back(name);
@@ -12,7 +12,7 @@ SymbolId SymbolTable::Intern(std::string_view name) {
 }
 
 std::optional<SymbolId> SymbolTable::Find(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it == ids_.end()) return std::nullopt;
   return it->second;
 }

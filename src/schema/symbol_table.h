@@ -4,6 +4,7 @@
 #define GQOPT_SCHEMA_SYMBOL_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -21,7 +22,8 @@ inline constexpr SymbolId kInvalidSymbol = UINT32_MAX;
 /// \brief Bidirectional string <-> dense-id interning table.
 ///
 /// Ids are assigned in insertion order starting at 0, so they can index
-/// per-symbol side vectors directly.
+/// per-symbol side vectors directly. Lookups hash the string_view itself
+/// and build no std::string.
 class SymbolTable {
  public:
   /// Returns the id of `name`, interning it on first use.
@@ -40,8 +42,15 @@ class SymbolTable {
   const std::vector<std::string>& names() const { return names_; }
 
  private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, SymbolId> ids_;
+  std::unordered_map<std::string, SymbolId, Hash, std::equal_to<>> ids_;
 };
 
 }  // namespace gqopt

@@ -37,11 +37,12 @@ using api::QueryStage;
 using api::Session;
 using testing::ScopedEnv;
 
-std::vector<std::vector<NodeId>> HandWiredRows(const Database& db,
-                                               const std::string& text) {
+std::vector<std::vector<NodeId>> HandWiredRows(
+    const Database& db, const std::string& text,
+    const RewriteOptions& rewrite_options = {}) {
   auto query = ParseUcqt(text);
   EXPECT_TRUE(query.ok());
-  auto rewritten = RewriteQuery(*query, db.schema());
+  auto rewritten = RewriteQuery(*query, db.schema(), rewrite_options);
   EXPECT_TRUE(rewritten.ok());
   const Ucqt& to_run = rewritten->reverted ? *query : rewritten->query;
   auto plan = UcqtToRa(to_run);
@@ -373,6 +374,70 @@ TEST(ApiTest, QueryKnobsHaveOneReader) {
   ExecOptions from_env = ExecOptions::FromEnv();
   EXPECT_EQ(from_env.dop, env_dop);
   EXPECT_FALSE(from_env.use_plan_cache);
+}
+
+// Rewritten plans are exact only on graphs that conform to the schema
+// (Theorem 1). The YAGO schema declares no isLocatedIn edge out of
+// PERSON; a chain of them would make the rewritten and the baseline
+// x1 -isLocatedIn+-> x2 return different rows, so AddEdge refuses them.
+TEST(ApiTest, AddEdgeRefusesEdgesTheSchemaDoesNotAdmit) {
+  Database db(YagoSchema(), GenerateYago({.persons = 50}));
+  Session session(db);
+  const std::string text = "x1, x2 <- (x1, isLocatedIn+, x2)";
+  // A snapshot freezes a base, so accepted writes reach the delta too.
+  ASSERT_TRUE(session.Query(text).ok());
+
+  std::vector<NodeId> chain;
+  for (int i = 0; i < 5; ++i) chain.push_back(db.AddNode("PERSON"));
+  const uint64_t data_generation = db.data_generation();
+  const size_t located = db.graph().EdgesByLabel("isLocatedIn").size();
+  for (int i = 0; i < 4; ++i) {
+    Status refused = db.AddEdge(chain[i], "isLocatedIn", chain[i + 1]);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(refused.message(),
+              "schema does not admit PERSON -isLocatedIn-> PERSON");
+  }
+  Status undeclared = db.AddEdge(chain[0], "flysTo", chain[1]);
+  EXPECT_EQ(undeclared.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(undeclared.message(),
+            "edge label 'flysTo' is not declared by the schema");
+  // A bad endpoint still reports as before.
+  EXPECT_EQ(db.AddEdge(chain[0], "livesIn", 1u << 30).code(),
+            StatusCode::kOutOfRange);
+  // Nothing reached the delta or the master.
+  EXPECT_EQ(db.data_generation(), data_generation);
+  EXPECT_EQ(db.graph().EdgesByLabel("isLocatedIn").size(), located);
+
+  // A conforming write still succeeds.
+  NodeId city = db.graph().NodesWithLabel("CITY").front();
+  ASSERT_TRUE(db.AddEdge(chain[0], "livesIn", city).ok());
+  EXPECT_GT(db.data_generation(), data_generation);
+
+  // The rewritten rows equal the baseline's in both forms.
+  ExecOptions no_rewrite;
+  no_rewrite.apply_schema_rewrite = false;
+  auto baseline = db.Prepare(text, no_rewrite);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  auto expected = (*baseline)->Execute(session);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_FALSE(expected->SortedRows().empty());
+  auto served = session.Prepare(text);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_FALSE((*served)->rewrite().reverted);
+  auto actual = (*served)->Execute(session);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  EXPECT_EQ(actual->SortedRows(), expected->SortedRows());
+  RewriteOptions paper_form;
+  paper_form.enable_annotations = true;
+  EXPECT_EQ(HandWiredRows(db, text, paper_form), expected->SortedRows());
+
+  // A schema that declares no edge labels admits any edge.
+  Database schemaless{GraphSchema(), PropertyGraph()};
+  NodeId a = schemaless.AddNode("A");
+  NodeId b = schemaless.AddNode("B");
+  EXPECT_TRUE(schemaless.AddEdge(a, "anything", b).ok());
+  schemaless.snapshot();
+  EXPECT_TRUE(schemaless.AddEdge(b, "else", a).ok());
 }
 
 TEST(ApiTest, UnsatisfiableQueryExecutesToEmptyResult) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -679,6 +680,179 @@ TEST(FusedDistinctDifferentialTest, SortedUnionMergeMatchesNaive) {
                RaExpr::Project(RaExpr::EdgeScan("e2", "y", "x"),
                                {{"x", "x"}, {"y", "y"}}),
                false, "unsorted");
+}
+
+// A Union tree over leaves[begin, end): left-deep, right-deep or bushy.
+enum class TreeShape { kLeftDeep, kRightDeep, kBushy };
+
+RaExprPtr UnionTree(const std::vector<RaExprPtr>& leaves, size_t begin,
+                    size_t end, TreeShape shape) {
+  if (end - begin == 1) return leaves[begin];
+  size_t mid = shape == TreeShape::kLeftDeep    ? end - 1
+               : shape == TreeShape::kRightDeep ? begin + 1
+                                                : begin + (end - begin) / 2;
+  return RaExpr::Union(UnionTree(leaves, begin, mid, shape),
+                       UnionTree(leaves, mid, end, shape));
+}
+
+RaExprPtr UnionTree(const std::vector<RaExprPtr>& leaves, TreeShape shape) {
+  return UnionTree(leaves, 0, leaves.size(), shape);
+}
+
+// Checks Distinct(tree) against concatenating the tree and sorting, at
+// dop 1 and 4, and that each Union node in the tree records the rows of
+// the leaves beneath it, with 0 bytes exactly when the leaves `merged`.
+void ExpectUnionMerge(const Catalog& catalog, const RaExprPtr& tree,
+                      bool merged, const std::string& what) {
+  RaExprPtr plan = RaExpr::Distinct(tree);
+  Table result = RunPlan(catalog, plan);
+  EXPECT_TRUE(result.sorted()) << what;
+  EXPECT_EQ(Rows(result), SortedUnique(Rows(RunPlan(catalog, tree))))
+      << what;
+  Executor executor(catalog);
+  ASSERT_TRUE(executor.Run(plan, At(1)).ok()) << what;
+  std::function<size_t(const RaExpr*)> leaf_rows =
+      [&](const RaExpr* node) -> size_t {
+    if (node->op() != RaOp::kUnion) return executor.actual_rows().at(node);
+    size_t rows =
+        leaf_rows(node->left().get()) + leaf_rows(node->right().get());
+    EXPECT_EQ(executor.actual_rows().at(node), rows) << what;
+    EXPECT_EQ(executor.actual_bytes().at(node) == 0, merged) << what;
+    return rows;
+  };
+  leaf_rows(tree.get());
+}
+
+TEST(FusedDistinctDifferentialTest, NestedUnionMergeMatchesConcatSort) {
+  PropertyGraph graph = RandomGraph(20, 120, 171);
+  for (size_t i = 0; i < 7; ++i) {
+    (void)graph.AddEdge(static_cast<NodeId>(i), "e4",
+                        static_cast<NodeId>(i * 2));
+  }
+  Catalog catalog(graph);
+  auto scan = [](const char* label) {
+    return RaExpr::EdgeScan(label, "x", "y");
+  };
+  // Sorted binary leaves that overlap on a dense 20-node graph: scans and
+  // path steps (fused compositions).
+  RaExprPtr step12 = PathStep(RaExpr::EdgeScan("e1", "x", "m"),
+                              RaExpr::EdgeScan("e2", "m", "y"), "x", "y");
+  RaExprPtr step31 = PathStep(RaExpr::EdgeScan("e3", "x", "m"),
+                              RaExpr::EdgeScan("e1", "m", "y"), "x", "y");
+  std::vector<RaExprPtr> three = {scan("e1"), step12, scan("e4")};
+  std::vector<RaExprPtr> five = {scan("e1"), scan("e2"), step12, scan("e3"),
+                                 step31};
+  const std::pair<TreeShape, const char*> shapes[] = {
+      {TreeShape::kLeftDeep, "left-deep"},
+      {TreeShape::kRightDeep, "right-deep"},
+      {TreeShape::kBushy, "bushy"}};
+  for (auto [shape, name] : shapes) {
+    std::string at = std::string(" ") + name;
+    ExpectUnionMerge(catalog, UnionTree(three, shape), true, "three" + at);
+    ExpectUnionMerge(catalog, UnionTree(five, shape), true, "five" + at);
+    // An empty leaf, first, inside and last.
+    ExpectUnionMerge(catalog,
+                     UnionTree({scan("nope"), scan("e1"), scan("e2")}, shape),
+                     true, "empty first" + at);
+    ExpectUnionMerge(catalog,
+                     UnionTree({scan("e1"), scan("nope"), scan("e2")}, shape),
+                     true, "empty inside" + at);
+    ExpectUnionMerge(catalog,
+                     UnionTree({scan("e2"), step12, scan("nope")}, shape),
+                     true, "empty last" + at);
+    // Two equal leaves, the same node twice, and a repeated path step.
+    ExpectUnionMerge(catalog,
+                     UnionTree({scan("e1"), scan("e2"), scan("e1")}, shape),
+                     true, "equal leaves" + at);
+    ExpectUnionMerge(catalog,
+                     UnionTree({step12, step12, step12, scan("e4")}, shape),
+                     true, "same node" + at);
+    // One unsorted leaf, and one leaf in another column order: both fall
+    // back to concatenating and sorting.
+    RaExprPtr unsorted = RaExpr::Project(RaExpr::EdgeScan("e2", "y", "x"),
+                                         {{"x", "x"}, {"y", "y"}});
+    ExpectUnionMerge(catalog,
+                     UnionTree({scan("e1"), unsorted, scan("e3")}, shape),
+                     false, "unsorted" + at);
+    ExpectUnionMerge(
+        catalog,
+        UnionTree({scan("e1"), scan("e3"), RaExpr::EdgeScan("e2", "y", "x")},
+                  shape),
+        false, "misaligned" + at);
+  }
+  // Wide unions (the rewriter allows 64 disjuncts): the merge takes at
+  // most 8 leaves; 9 and 20 sorted leaves concatenate and sort.
+  std::vector<RaExprPtr> wide = {scan("e1"), scan("e2"), scan("e3"),
+                                 scan("e4")};
+  for (const char* a : {"e1", "e2", "e3", "e4"}) {
+    for (const char* b : {"e1", "e2", "e3", "e4"}) {
+      wide.push_back(PathStep(RaExpr::EdgeScan(a, "x", "m"),
+                              RaExpr::EdgeScan(b, "m", "y"), "x", "y"));
+    }
+  }
+  ASSERT_EQ(wide.size(), 20u);
+  for (auto [shape, name] : shapes) {
+    for (size_t width : {8, 9, 20}) {
+      std::vector<RaExprPtr> leaves(wide.begin(), wide.begin() + width);
+      ExpectUnionMerge(catalog, UnionTree(leaves, shape), width <= 8,
+                       std::to_string(width) + " leaves " + name);
+    }
+  }
+  // One column, and three columns (each leaf a sorted Distinct).
+  ExpectUnionMerge(
+      catalog,
+      UnionTree({RaExpr::NodeScan({"SEED"}, "x"),
+                 RaExpr::Distinct(RaExpr::Project(scan("e1"), {{"x", "x"}})),
+                 RaExpr::Distinct(RaExpr::Project(scan("e4"), {{"x", "x"}}))},
+                TreeShape::kLeftDeep),
+      true, "one column");
+  auto triples = [](const char* a, const char* b) {
+    return RaExpr::Distinct(RaExpr::Join(RaExpr::EdgeScan(a, "x", "y"),
+                                         RaExpr::EdgeScan(b, "y", "z")));
+  };
+  ExpectUnionMerge(catalog,
+                   UnionTree({triples("e1", "e2"), triples("e2", "e3"),
+                              triples("e1", "e2"), triples("e4", "e1")},
+                             TreeShape::kBushy),
+                   true, "three columns");
+}
+
+TEST(FusedDistinctDifferentialTest, NestedUnionMergeAbortsWithTypedStatus) {
+  PropertyGraph graph = RandomGraph(2000, 8000, 181);
+  Catalog catalog(graph);
+  std::vector<RaExprPtr> leaves;
+  for (const char* label : {"e1", "e2", "e3"}) {
+    leaves.push_back(RaExpr::EdgeScan(label, "x", "y"));
+  }
+  RaExprPtr plan =
+      RaExpr::Distinct(UnionTree(leaves, TreeShape::kLeftDeep));
+  for (int dop : {1, 4}) {
+    ExecContext expired = At(dop);
+    expired.deadline = Deadline::AfterMillis(1);
+    while (!expired.deadline.Expired()) {
+    }
+    auto timed_out = Executor(catalog).Run(plan, expired);
+    ASSERT_FALSE(timed_out.ok());
+    EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded)
+        << timed_out.status().ToString();
+
+    // A budget that holds the three scans but not the merged output.
+    size_t scans = 0;
+    for (const RaExprPtr& leaf : leaves) {
+      scans += RunPlan(catalog, leaf).data().size() * sizeof(NodeId);
+    }
+    MemoryTracker tracker(static_cast<int64_t>(scans) + 64, "query");
+    ExecContext tight = At(dop);
+    tight.mem = &tracker;
+    auto breached = Executor(catalog).Run(plan, tight);
+    ASSERT_FALSE(breached.ok());
+    EXPECT_EQ(breached.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(breached.status().message().find("resource: "),
+              std::string::npos)
+        << breached.status().ToString();
+    EXPECT_NE(breached.status().message().find("union"), std::string::npos)
+        << breached.status().ToString();
+  }
 }
 
 TEST(FusedDistinctDifferentialTest, ComposeAbortsWithTypedStatus) {

@@ -115,6 +115,14 @@ std::vector<Edge> ResultPairs(const ResultSet& result) {
 
 class RewritePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
+// The rewrite's two forms: the engine form (the default, served by the
+// facade) and the paper's annotated form.
+std::vector<RewriteOptions> BothForms() {
+  RewriteOptions paper;
+  paper.enable_annotations = true;
+  return {RewriteOptions{}, paper};
+}
+
 TEST_P(RewritePropertyTest, RewritePreservesSemantics) {
   Rng rng(GetParam());
   GraphSchema schema = RandomSchema(&rng);
@@ -125,23 +133,24 @@ TEST_P(RewritePropertyTest, RewritePreservesSemantics) {
   for (int i = 0; i < 8; ++i) {
     PathExprPtr expr = RandomExpr(schema, &rng, 3);
     Ucqt baseline = Ucqt::FromPath("x1", expr, "x2");
-
-    auto rewritten = RewriteQuery(baseline, schema);
-    ASSERT_TRUE(rewritten.ok())
-        << expr->ToString() << ": " << rewritten.status().ToString();
-
     auto expected = EvalPath(graph, expr);
     ASSERT_TRUE(expected.ok()) << expr->ToString();
 
-    auto actual = engine.Run(rewritten->query);
-    ASSERT_TRUE(actual.ok()) << rewritten->query.ToString();
-    EXPECT_EQ(ResultPairs(*actual), expected->pairs())
-        << "expr: " << expr->ToString() << "\nrewritten: "
-        << rewritten->query.ToString()
-        << (rewritten->reverted ? " (reverted)" : "");
+    for (const RewriteOptions& form : BothForms()) {
+      auto rewritten = RewriteQuery(baseline, schema, form);
+      ASSERT_TRUE(rewritten.ok())
+          << expr->ToString() << ": " << rewritten.status().ToString();
 
-    if (rewritten->unsatisfiable) {
-      EXPECT_TRUE(expected->empty()) << expr->ToString();
+      auto actual = engine.Run(rewritten->query);
+      ASSERT_TRUE(actual.ok()) << rewritten->query.ToString();
+      EXPECT_EQ(ResultPairs(*actual), expected->pairs())
+          << "expr: " << expr->ToString() << "\nrewritten: "
+          << rewritten->query.ToString()
+          << (rewritten->reverted ? " (reverted)" : "");
+
+      if (rewritten->unsatisfiable) {
+        EXPECT_TRUE(expected->empty()) << expr->ToString();
+      }
     }
   }
 }
@@ -157,20 +166,24 @@ TEST_P(RewritePropertyTest, EnginesAgreeOnRewrittenQueries) {
   for (int i = 0; i < 5; ++i) {
     PathExprPtr expr = RandomExpr(schema, &rng, 3);
     Ucqt baseline = Ucqt::FromPath("x1", expr, "x2");
-    auto rewritten = RewriteQuery(baseline, schema);
-    ASSERT_TRUE(rewritten.ok());
+    std::vector<Ucqt> queries = {baseline};
+    for (const RewriteOptions& form : BothForms()) {
+      auto rewritten = RewriteQuery(baseline, schema, form);
+      ASSERT_TRUE(rewritten.ok());
+      queries.push_back(rewritten->query);
+    }
 
-    for (const Ucqt* query : {&baseline, &rewritten->query}) {
-      auto graph_result = engine.Run(*query);
-      ASSERT_TRUE(graph_result.ok()) << query->ToString();
-      auto plan = UcqtToRa(*query);
-      ASSERT_TRUE(plan.ok()) << query->ToString();
+    for (const Ucqt& query : queries) {
+      auto graph_result = engine.Run(query);
+      ASSERT_TRUE(graph_result.ok()) << query.ToString();
+      auto plan = UcqtToRa(query);
+      ASSERT_TRUE(plan.ok()) << query.ToString();
       auto table = executor.Run(OptimizePlan(*plan, catalog));
-      ASSERT_TRUE(table.ok()) << query->ToString();
+      ASSERT_TRUE(table.ok()) << query.ToString();
       Table sorted = *table;
       sorted.SortDistinct();
       ASSERT_EQ(sorted.rows(), graph_result->rows.size())
-          << query->ToString();
+          << query.ToString();
       for (size_t r = 0; r < sorted.rows(); ++r) {
         EXPECT_EQ(sorted.At(r, 0), graph_result->rows[r][0]);
         EXPECT_EQ(sorted.At(r, 1), graph_result->rows[r][1]);
@@ -213,16 +226,20 @@ TEST_P(RewritePropertyTest, AblationsPreserveSemantics) {
   PropertyGraph graph = RandomConformingGraph(schema, &rng);
   GraphEngine engine(graph);
 
-  RewriteOptions no_tc;
+  // Closure elimination off, in the paper form and in the engine form
+  // (RewritePreservesSemantics runs both forms with it on).
+  RewriteOptions paper_form;
+  paper_form.enable_annotations = true;
+  RewriteOptions no_tc = paper_form;
   no_tc.enable_tc_elimination = false;
-  RewriteOptions no_annotations;
-  no_annotations.enable_annotations = false;
+  RewriteOptions engine_no_tc;
+  engine_no_tc.enable_tc_elimination = false;
 
   for (int i = 0; i < 5; ++i) {
     PathExprPtr expr = RandomExpr(schema, &rng, 3);
     auto expected = EvalPath(graph, expr);
     ASSERT_TRUE(expected.ok());
-    for (const RewriteOptions* options : {&no_tc, &no_annotations}) {
+    for (const RewriteOptions* options : {&no_tc, &engine_no_tc}) {
       auto rewritten =
           RewriteQuery(Ucqt::FromPath("x1", expr, "x2"), schema, *options);
       ASSERT_TRUE(rewritten.ok());

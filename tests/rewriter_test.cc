@@ -28,9 +28,18 @@ RewriteResult Rewrite(const std::string& text, const GraphSchema& schema,
   return result.ok() ? *result : RewriteResult{};
 }
 
+// The paper's annotated output (Example 13); the default is the engine
+// form, which adds no inferred label atoms.
+RewriteOptions PaperForm() {
+  RewriteOptions options;
+  options.enable_annotations = true;
+  return options;
+}
+
 TEST(RewriterTest, Example13EndToEnd) {
-  RewriteResult result = Rewrite(
-      "x1, x2 <- (x1, livesIn/isLocatedIn+/dealsWith+, x2)", Fig1Schema());
+  RewriteResult result =
+      Rewrite("x1, x2 <- (x1, livesIn/isLocatedIn+/dealsWith+, x2)",
+              Fig1Schema(), PaperForm());
   EXPECT_FALSE(result.reverted);
   EXPECT_FALSE(result.unsatisfiable);
   ASSERT_EQ(result.query.disjuncts.size(), 1u);
@@ -118,8 +127,9 @@ TEST(RewriterTest, UnionWithConstraintSplits) {
   // Here one union branch ends at PROPERTY and the other continues to a
   // region: endpoints differ, the target atoms survive pruning, and the
   // query genuinely splits.
-  RewriteResult result = Rewrite(
-      "x1, x2 <- (x1, owns | livesIn/isLocatedIn, x2)", Fig1Schema());
+  RewriteResult result =
+      Rewrite("x1, x2 <- (x1, owns | livesIn/isLocatedIn, x2)", Fig1Schema(),
+              PaperForm());
   EXPECT_FALSE(result.reverted);
   EXPECT_EQ(result.query.disjuncts.size(), 2u);
 }
@@ -160,7 +170,7 @@ TEST(RewriterTest, PreservesExistingAtoms) {
 }
 
 TEST(RewriterTest, AblationNoTcElimination) {
-  RewriteOptions options;
+  RewriteOptions options = PaperForm();
   options.enable_tc_elimination = false;
   RewriteResult result = Rewrite(
       "x1, x2 <- (x1, livesIn/isLocatedIn+/dealsWith+, x2)", Fig1Schema(),
@@ -195,9 +205,9 @@ TEST(RewriterTest, AblationNoAnnotations) {
 }
 
 TEST(RewriterTest, RepeatDesugarsBeforeInference) {
-  RewriteResult result = Rewrite(
-      "x1, x2 <- (x1, isMarriedTo{1,2}/owns/isLocatedIn, x2)",
-      Fig1Schema());
+  RewriteResult result =
+      Rewrite("x1, x2 <- (x1, isMarriedTo{1,2}/owns/isLocatedIn, x2)",
+              Fig1Schema(), PaperForm());
   ASSERT_FALSE(result.reverted);  // the CITY target atom survives
   // No repeat nodes survive anywhere.
   for (const Cqt& cqt : result.query.disjuncts) {

@@ -30,6 +30,9 @@ PAIRS = [
     # dense one-column distinct vs sort-and-unique of the same column.
     ("BM_ExecCompose", "BM_ExecJoinProjectSort"),
     ("BM_ExecDistinctColumn", "BM_SortUniqueColumn"),
+    # Distinct over a nested union of sorted tables: the executor's k-way
+    # merge vs concatenating the same tables and SortDistinct.
+    ("BM_ExecDistinctNestedUnion", "BM_ConcatSortUnion"),
     # DP planner vs the retained greedy pass, end to end on the
     # interesting-order cluster (same process, same inputs).
     ("BM_JoinOrderQualityDP", "BM_JoinOrderQualityGreedy"),

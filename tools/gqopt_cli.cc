@@ -62,12 +62,14 @@ void PrintHelp() {
       "  load <schema> <graph>      load schema/graph text files\n"
       "  schema                     print the active schema\n"
       "  check                      check schema-database consistency\n"
-      "  rewrite <query>            show the schema-enriched query\n"
+      "  rewrite <query>            show the schema-enriched query: the\n"
+      "                             served form, then the paper's\n"
+      "                             annotated form\n"
       "  run <query>                rewrite + run on both engines\n"
       "  explain <query>            optimized relational plan (EXPLAIN)\n"
       "  analyze <query>            EXPLAIN + run, rows = est/actual\n"
-      "  sql <query>                recursive SQL translation\n"
-      "  cypher <query>             Cypher translation\n"
+      "  sql <query>                recursive SQL translation (paper form)\n"
+      "  cypher <query>             Cypher translation (paper form)\n"
       "  cache                      plan-cache counters (hits/evictions);\n"
       "                             GQOPT_PLAN_CACHE=0 at startup makes\n"
       "                             this session bypass the cache\n"
@@ -106,6 +108,27 @@ api::PreparedQueryPtr PrepareOrFallback(const api::Session& session,
   return nullptr;
 }
 
+/// The paper's annotated form of `query` (Example 13). The facade serves
+/// the engine form, which plans no inferred label atoms; in a SQL or
+/// Cypher backend a label filter can shrink a scan (Fig 15-17), so the
+/// emitters and `rewrite`'s second line use this form.
+Result<RewriteResult> PaperForm(const api::Session& session,
+                                const Ucqt& query) {
+  RewriteOptions paper;
+  paper.enable_annotations = true;
+  return PrepareSchemaQuery(query, session.database().schema(), paper);
+}
+
+void PrintRewrite(const char* title, const RewriteResult& rewritten) {
+  if (rewritten.reverted) {
+    std::printf("%s (reverted — schema adds nothing)\n", title);
+  } else if (rewritten.unsatisfiable) {
+    std::printf("%s (unsatisfiable under the schema)\n", title);
+  } else {
+    std::printf("%s %s\n", title, rewritten.query.ToString().c_str());
+  }
+}
+
 void DoRewrite(const api::Session& session, const std::string& text,
                bool print_only) {
   auto prepared = session.Prepare(text);
@@ -116,17 +139,13 @@ void DoRewrite(const api::Session& session, const std::string& text,
   const api::PreparedQuery& query = **prepared;
   const RewriteResult& rewritten = query.rewrite();
   std::printf("baseline:  %s\n", query.query().ToString().c_str());
-  if (rewritten.reverted) {
-    std::printf("rewritten: (reverted — schema adds nothing)\n");
-  } else if (rewritten.unsatisfiable) {
-    std::printf("rewritten: (unsatisfiable under the schema)\n");
-  } else {
-    std::printf("rewritten: %s\n", rewritten.query.ToString().c_str());
-  }
+  PrintRewrite("rewritten:", rewritten);
   for (const ClosureStats& c : rewritten.stats.closures) {
     std::printf("  closure %-24s %s\n", c.closure.c_str(),
                 c.eliminated ? "eliminated" : "kept");
   }
+  auto paper = PaperForm(session, query.query());
+  if (paper.ok()) PrintRewrite("paper:    ", *paper);
   if (print_only) return;
 
   const api::Database& db = session.database();
@@ -171,7 +190,10 @@ void DoTranslate(const api::Session& session, const std::string& text,
                  bool to_sql) {
   api::PreparedQueryPtr prepared = PrepareOrFallback(session, text);
   if (prepared == nullptr) return;
-  const Ucqt& to_emit = prepared->executable();
+  // A query the schema cannot rewrite is emitted as written.
+  auto paper = PaperForm(session, prepared->query());
+  const Ucqt& to_emit = !paper.ok() || paper->reverted ? prepared->query()
+                                                       : paper->query;
   auto emitted = to_sql ? EmitSql(to_emit) : EmitCypher(to_emit);
   if (!emitted.ok()) {
     std::printf("%s\n", emitted.status().ToString().c_str());

@@ -121,7 +121,7 @@ if [[ "$run_bench" -eq 1 ]]; then
     # The interesting subset: evaluation-core primitives with their
     # retained naive counterparts for drift-free before/after ratios.
     ./build/bench_micro \
-      --benchmark_filter='Compose|Closure|SemiJoinSource|Join|DistinctColumn|SortUniqueColumn|MemoizedUnion|PlanEnumeration|PreparedVsCold|ColdPrepare|ServingThroughput|TopK|SortAll' \
+      --benchmark_filter='Compose|Closure|SemiJoinSource|Join|DistinctColumn|SortUniqueColumn|DistinctNestedUnion|ConcatSortUnion|MemoizedUnion|PlanEnumeration|PreparedVsCold|ColdPrepare|ServingThroughput|TopK|SortAll' \
       --benchmark_min_time=0.2 \
       --json=BENCH_micro.json
     # A run that silently produced no snapshot (or a truncated one) must
